@@ -15,10 +15,10 @@ use stratmr_mapreduce::Cluster;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::Placement;
 use stratmr_query::{GroupSpec, QueryGenerator};
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::naive::naive_sqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::naive::try_naive_sqe_on_splits;
 use stratmr_sampling::reservoir::{Reservoir, SkipReservoir};
-use stratmr_sampling::sqe::mr_sqe_on_splits;
+use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
 fn bench_combiner_vs_naive(c: &mut Criterion) {
@@ -36,14 +36,14 @@ fn bench_combiner_vs_naive(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(naive_sqe_on_splits(&cluster, &splits, &query, seed))
+            black_box(try_naive_sqe_on_splits(&cluster, &splits, &query, seed).unwrap())
         })
     });
     group.bench_function("mr_sqe_figure2", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(mr_sqe_on_splits(&cluster, &splits, &query, seed))
+            black_box(try_mr_sqe_on_splits(&cluster, &splits, &query, seed).unwrap())
         })
     });
     group.finish();
@@ -68,7 +68,7 @@ fn bench_lp_decomposition(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(mr_cps_on_splits(&cluster, &splits, &mssd, config, seed).unwrap())
+                black_box(try_mr_cps_on_splits(&cluster, &splits, &mssd, config, seed).unwrap())
             })
         });
     }
@@ -101,40 +101,6 @@ fn bench_reservoir_variants(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stratum_index(c: &mut Criterion) {
-    use stratmr_query::StratumIndex;
-    let data = DblpGenerator::new(DblpConfig::default()).generate(20_000, 31);
-    let qgen = QueryGenerator::new(DblpGenerator::schema());
-    let mut rng = ChaCha8Rng::seed_from_u64(6);
-    // the Large shape: 256 strata per SSD
-    let query = qgen.generate_ssd_proportional(&GroupSpec::LARGE, 5_000, data.tuples(), &mut rng);
-    let index = StratumIndex::build(&query);
-    let mut group = c.benchmark_group("ablation/stratum_match");
-    group.bench_function("linear_scan", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for t in data.tuples() {
-                if query.matching_stratum(black_box(t)).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.bench_function("interval_index", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for t in data.tuples() {
-                if index.matching_stratum(&query, black_box(t)).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default()
@@ -144,7 +110,6 @@ criterion_group!(
     targets =
     bench_combiner_vs_naive,
     bench_lp_decomposition,
-    bench_reservoir_variants,
-    bench_stratum_index
+    bench_reservoir_variants
 );
 criterion_main!(benches);

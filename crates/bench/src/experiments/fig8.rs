@@ -18,7 +18,7 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 
 #[derive(Serialize)]
 struct Record {
@@ -70,7 +70,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             let mut share_sum = 0.0;
             for run in 0..runs {
                 let mssd = env.group(spec, scale, 3000 + run as u64);
-                let cps = mr_cps_on_splits(
+                let cps = try_mr_cps_on_splits(
                     &cluster,
                     &env.splits,
                     &mssd,

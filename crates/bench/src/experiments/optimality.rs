@@ -20,7 +20,7 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 
 #[derive(Serialize)]
 struct Record {
@@ -69,10 +69,12 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         for run in 0..runs {
             let mssd = env.group(spec, sample_size, 6000 + run as u64);
             let seed = 800 + run as u64;
-            let lp_run = mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
-                .expect("LP solvable");
-            let ip_run = mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::exact(), seed)
-                .expect("IP solvable");
+            let lp_run =
+                try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+                    .expect("LP solvable");
+            let ip_run =
+                try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::exact(), seed)
+                    .expect("IP solvable");
             let c_lp = lp_run.solver_objective;
             let c_ip = ip_run.solver_objective;
             let c_a = lp_run.cost;

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_mapreduce::{Cluster, FaultPlan};
 use stratmr_query::GroupSpec;
-use stratmr_sampling::mqe::mr_mqe_on_splits;
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
 
 /// Fault seed used when neither `--faults` nor `STRATMR_FAULT_SEED` is
 /// given.
@@ -77,13 +77,14 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         // the shuffle horizon, so the crash genuinely loses completed
         // map outputs and forces re-execution (map waves fill the early
         // ~90% of the job; the reduce tail is about one task long).
-        let healthy = mr_mqe_on_splits(
+        let healthy = try_mr_mqe_on_splits(
             &obs.cluster(Cluster::new(slaves)),
             &env.splits,
             mssd.queries(),
             None,
             77,
-        );
+        )
+        .expect("bench MR-MQE jobs meet no unrecoverable fault");
         // Crash only nodes that home at least one input split.
         let crash_node = (fault_seed as usize) % slaves.min(env.config.machines);
         let crash_at = healthy.stats.sim.makespan_us * 0.8;
@@ -118,7 +119,8 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             ),
         ];
         for (name, key, cluster) in conditions {
-            let run = mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, 77);
+            let run = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, 77)
+                .expect("bench MR-MQE jobs meet no unrecoverable fault");
             let same = run.answer == healthy.answer;
             let stats = &run.stats;
             let retries = stats.map_task_retries + stats.reduce_task_retries;

@@ -3,8 +3,8 @@
 //!
 //! A CPS-capable binary (`optimality`, `table2_cost_ratio`,
 //! `fig6_sharing`, the dedicated `explain` binary) accepting the flag
-//! runs the medium paper-style query group once with explain capture
-//! and a fresh audit registry, and writes one artifact:
+//! runs the medium paper-style query group once with a fresh audit
+//! registry, and writes one artifact from the run's `CpsRun::explain`:
 //!
 //! ```text
 //! {
@@ -25,7 +25,7 @@ use crate::meta::ArtifactMeta;
 use std::path::PathBuf;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::CpsConfig;
-use stratmr_sampling::{mr_cps_explain_on_splits, PlanExplain, QualityReport};
+use stratmr_sampling::{try_mr_cps_on_splits, PlanExplain, QualityReport};
 use stratmr_telemetry::Registry;
 
 /// Seed of the explained query group — the first run of the optimality
@@ -81,8 +81,10 @@ impl ExplainOutput {
     }
 }
 
-/// Run the standard MSSD group once with explain capture and a fresh
-/// audit registry, and assemble the artifact stamped with `meta`.
+/// Run the standard MSSD group once with a fresh audit registry, and
+/// assemble the artifact from its [`CpsRun::explain`] stamped with `meta`.
+///
+/// [`CpsRun::explain`]: stratmr_sampling::CpsRun::explain
 pub fn run_explain(env: &BenchEnv, solver: CpsConfig, meta: &ArtifactMeta) -> ExplainOutput {
     let registry = Registry::new();
     let cluster = env
@@ -90,9 +92,9 @@ pub fn run_explain(env: &BenchEnv, solver: CpsConfig, meta: &ArtifactMeta) -> Ex
         .with_telemetry(registry.clone());
     let sample_size = env.config.scales[env.config.scales.len() / 2];
     let mssd = env.group(&GroupSpec::MEDIUM, sample_size, EXPLAIN_GROUP_SEED);
-    let (_, plan) =
-        mr_cps_explain_on_splits(&cluster, &env.splits, &mssd, solver, EXPLAIN_RUN_SEED)
-            .expect("the standard explain group is solvable");
+    let plan = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, solver, EXPLAIN_RUN_SEED)
+        .expect("the standard explain group is solvable")
+        .explain;
     let report = QualityReport::from_snapshot(&registry.snapshot());
     let json = render_explain_json(&meta.to_json(), &plan, &report);
     ExplainOutput { plan, report, json }

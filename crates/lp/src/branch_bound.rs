@@ -122,7 +122,7 @@ pub fn solve_ip_counted(problem: &Problem) -> Result<(Solution, BranchBoundStats
                 let objective = problem.objective_value(&values);
                 let better = incumbent
                     .as_ref()
-                    .is_none_or(|best| objective < best.objective - 1e-9);
+                    .map_or(true, |best| objective < best.objective - 1e-9);
                 if better {
                     incumbent = Some(Solution { objective, values });
                 }

@@ -395,68 +395,6 @@ pub fn stragglers(trace: &JobTrace, threshold: f64) -> Vec<Straggler> {
     found
 }
 
-/// Render the job as an ASCII Gantt chart, one row per machine over
-/// `width` columns spanning `[0, makespan_us]`.
-///
-/// Cell legend: `=` job setup, `M` map, `C` combine, `S` shuffle
-/// transfer (into the row's machine), `R` reduce, `x` failed attempt,
-/// `.` idle.
-pub fn render_gantt(trace: &JobTrace, width: usize) -> String {
-    use std::fmt::Write as _;
-    let width = width.max(1);
-    let machines = trace.machines.max(1) as usize;
-    let span = trace.makespan_us.max(f64::MIN_POSITIVE);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} #{} — makespan {:.3}s, {} machines, 1 col ≈ {:.3}s",
-        trace.name,
-        trace.seq,
-        trace.makespan_us / 1e6,
-        machines,
-        span / width as f64 / 1e6,
-    );
-    for m in 0..machines {
-        let mut row = vec!['.'; width];
-        for (col, cell) in row.iter_mut().enumerate() {
-            let t = (col as f64 + 0.5) / width as f64 * span;
-            if t < trace.overhead_us {
-                *cell = '=';
-                continue;
-            }
-            // priority: later phases win when events touch at a barrier
-            let mut best: Option<(u8, char)> = None;
-            for e in &trace.events {
-                if e.machine as usize != m || e.dur_us <= 0.0 {
-                    continue;
-                }
-                if t < e.start_us || t >= e.start_us + e.dur_us {
-                    continue;
-                }
-                let (rank, ch) = if e.failed {
-                    (4, 'x')
-                } else {
-                    match e.phase {
-                        TracePhase::Map => (0, 'M'),
-                        TracePhase::Combine => (1, 'C'),
-                        TracePhase::Shuffle => (2, 'S'),
-                        TracePhase::Reduce => (3, 'R'),
-                    }
-                };
-                if best.map(|(r, _)| rank > r).unwrap_or(true) {
-                    best = Some((rank, ch));
-                }
-            }
-            if let Some((_, ch)) = best {
-                *cell = ch;
-            }
-        }
-        let _ = writeln!(out, "  m{m:<3} |{}|", row.into_iter().collect::<String>());
-    }
-    out.push_str("  legend: = setup  M map  C combine  S shuffle  R reduce  x failed  . idle\n");
-    out
-}
-
 /// One-line human-readable summary of a job: makespan, critical path,
 /// skew and any stragglers (≥ 1.5× their peers). Used by the bench
 /// report.
@@ -694,7 +632,6 @@ mod tests {
         assert_eq!(skew.skew, 1.0);
         assert!(stragglers(&trace, 1.5).is_empty());
         assert_eq!(machine_utilization(&trace)[0].busy_frac, 1.0);
-        assert!(render_gantt(&trace, 10).contains("m0"));
     }
 
     #[test]
@@ -709,16 +646,6 @@ mod tests {
         assert!(slow
             .iter()
             .any(|s| s.machine == 0 && s.phase == TracePhase::Reduce));
-    }
-
-    #[test]
-    fn gantt_rows_show_phases() {
-        let g = render_gantt(&toy_trace(), 47);
-        assert!(g.contains("m0"), "{g}");
-        assert!(g.contains("m1"), "{g}");
-        for ch in ['=', 'M', 'S', 'R'] {
-            assert!(g.contains(ch), "missing {ch} in:\n{g}");
-        }
     }
 
     #[test]

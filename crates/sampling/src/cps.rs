@@ -38,7 +38,7 @@ use stratmr_lp::{
     BranchBoundStats, LpError, Problem, Relation, SimplexStats, Solution,
 };
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, SsdQuery, SurveySet};
 use stratmr_telemetry::Registry;
 
@@ -158,6 +158,9 @@ pub struct CpsRun {
     pub timings: CpsTimings,
     /// Per-MapReduce-phase statistics, labeled.
     pub phase_stats: Vec<(String, JobStats)>,
+    /// The run's plan EXPLAIN (strata universe, programs, sharing graph,
+    /// cost attribution, residual rounds, optimality gap).
+    pub explain: PlanExplain,
 }
 
 /// The solved allocation for one stratum selection.
@@ -529,53 +532,15 @@ impl PlanExplain {
     }
 }
 
-/// Run CPS / MR-CPS over a distributed dataset.
-pub fn mr_cps(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, LpError> {
-    mr_cps_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// Run CPS / MR-CPS on pre-built input splits.
-pub fn mr_cps_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, LpError> {
-    lp_or_panic(mr_cps_inner(cluster, splits, mssd, config, seed, false)).map(|(run, _)| run)
-}
-
-/// Fault-aware [`mr_cps`]: scheduling failures in any MapReduce phase
-/// come back as [`CpsError::Job`] instead of panicking.
-pub fn try_mr_cps(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, CpsError> {
-    try_mr_cps_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// Fault-aware [`mr_cps_on_splits`].
+/// Run CPS / MR-CPS on input splits (build them once per dataset with
+/// [`crate::to_input_splits`]).
+///
+/// Every run also assembles its [`PlanExplain`] into [`CpsRun::explain`]
+/// — the strata universe, the solved programs, the sharing graph, cost
+/// attribution and the residual-round breakdown. The bookkeeping changes
+/// no decision the pipeline makes. An unsolvable program comes back as
+/// [`CpsError::Lp`], a MapReduce phase that cannot complete under the
+/// fault model as [`CpsError::Job`].
 pub fn try_mr_cps_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -583,62 +548,6 @@ pub fn try_mr_cps_on_splits(
     config: CpsConfig,
     seed: u64,
 ) -> Result<CpsRun, CpsError> {
-    mr_cps_inner(cluster, splits, mssd, config, seed, false).map(|(run, _)| run)
-}
-
-/// Preserve the legacy contract of the `Result<_, LpError>` entry
-/// points: solver errors pass through, scheduling failures panic (they
-/// only occur when a fault plan or failure injection is configured).
-fn lp_or_panic<T>(r: Result<T, CpsError>) -> Result<T, LpError> {
-    match r {
-        Ok(v) => Ok(v),
-        Err(CpsError::Lp(e)) => Err(e),
-        Err(CpsError::Job(e)) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-/// Run CPS / MR-CPS over a distributed dataset, also capturing a full
-/// [`PlanExplain`] — the strata universe, the solved programs, the
-/// sharing graph, cost attribution and the residual-round breakdown.
-pub fn mr_cps_explain(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<(CpsRun, PlanExplain), LpError> {
-    mr_cps_explain_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// [`mr_cps_explain`] on pre-built input splits.
-pub fn mr_cps_explain_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<(CpsRun, PlanExplain), LpError> {
-    lp_or_panic(mr_cps_inner(cluster, splits, mssd, config, seed, true))
-        .map(|(run, explain)| (run, explain.expect("explain capture was requested")))
-}
-
-/// The shared CPS pipeline; `capture` switches the EXPLAIN bookkeeping
-/// on. Capturing changes no decision the pipeline makes — answers are
-/// byte-identical with and without it.
-fn mr_cps_inner(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-    capture: bool,
-) -> Result<(CpsRun, Option<PlanExplain>), CpsError> {
     let queries = mssd.queries();
     let n = queries.len();
     let mut phase_stats = Vec::new();
@@ -695,23 +604,19 @@ fn mr_cps_inner(
 
     // EXPLAIN: the strata universe — every relevant σ with its limit and
     // per-survey selection frequencies
-    let selections_explain: Vec<SelectionExplain> = if capture {
-        relevant
-            .iter()
-            .map(|sel| SelectionExplain {
-                selection: sel.to_string(),
-                limit: limits.get(sel).copied().unwrap_or(0),
-                frequencies: (0..n)
-                    .filter_map(|i| {
-                        let f = freq[i].get(sel).copied().unwrap_or(0);
-                        (f > 0).then_some((i, f))
-                    })
-                    .collect(),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let selections_explain: Vec<SelectionExplain> = relevant
+        .iter()
+        .map(|sel| SelectionExplain {
+            selection: sel.to_string(),
+            limit: limits.get(sel).copied().unwrap_or(0),
+            frequencies: (0..n)
+                .filter_map(|i| {
+                    let f = freq[i].get(sel).copied().unwrap_or(0);
+                    (f > 0).then_some((i, f))
+                })
+                .collect(),
+        })
+        .collect();
 
     // ---- step 3: formulate & solve the Figure 3 program ----------------
     let mut timings = CpsTimings::default();
@@ -721,7 +626,6 @@ fn mr_cps_inner(
     let mut programs: Vec<ProgramExplain> = Vec::new();
     let plans: Vec<SigmaPlan> = {
         let _s = tel.map(|t| t.span("solve"));
-        let explain = capture.then_some(&mut programs);
         if config.joint_formulation {
             solve_joint(
                 &relevant,
@@ -734,7 +638,7 @@ fn mr_cps_inner(
                 &mut variables,
                 &mut constraints,
                 &mut solver_objective,
-                explain,
+                &mut programs,
             )?
         } else {
             solve_blockwise(
@@ -748,7 +652,7 @@ fn mr_cps_inner(
                 &mut variables,
                 &mut constraints,
                 &mut solver_objective,
-                explain,
+                &mut programs,
             )?
         }
     };
@@ -873,13 +777,11 @@ fn mr_cps_inner(
             }
         }
         residual_selections += added_this_round;
-        if capture {
-            residual_rounds.push(ResidualRoundExplain {
-                round,
-                deficit,
-                added: added_this_round as u64,
-            });
-        }
+        residual_rounds.push(ResidualRoundExplain {
+            round,
+            deficit,
+            added: added_this_round as u64,
+        });
         if added_this_round == 0 {
             // pool dry (cannot happen when the limits are consistent);
             // avoid spinning
@@ -893,84 +795,77 @@ fn mr_cps_inner(
     }
     let answer = MssdAnswer::new(star);
     let cost = answer.cost(mssd.costs());
-    let explain = if capture {
-        let costs = mssd.costs();
-        // sharing graph + cost attribution from the realized answer,
-        // walked in sorted-id order so f64 sums are byte-deterministic
-        let sets = answer.survey_sets();
-        let mut ids: Vec<u64> = sets.keys().copied().collect();
-        ids.sort_unstable();
-        let mut sharing = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let shared = ids
-                    .iter()
-                    .filter(|&&id| sets[&id].contains(i) && sets[&id].contains(j))
-                    .count() as u64;
-                if shared == 0 {
-                    continue;
-                }
-                let pair = SurveySet::from_iter([i, j]);
-                let apart =
-                    costs.cost(SurveySet::singleton(i)) + costs.cost(SurveySet::singleton(j));
-                sharing.push(SharingEdge {
-                    surveys: (i, j),
-                    shared,
-                    pair_cost: costs.cost(pair),
-                    savings: apart - costs.cost(pair),
-                });
+    // sharing graph + cost attribution from the realized answer, walked
+    // in sorted-id order so f64 sums are byte-deterministic
+    let costs = mssd.costs();
+    let sets = answer.survey_sets();
+    let mut ids: Vec<u64> = sets.keys().copied().collect();
+    ids.sort_unstable();
+    let mut shared = vec![vec![0u64; n]; n];
+    let mut attributed = vec![0.0f64; n];
+    for id in &ids {
+        let tau = sets[id];
+        let share = costs.cost(tau) / tau.len() as f64;
+        for i in tau.iter() {
+            attributed[i] += share;
+            for j in tau.iter().filter(|&j| j > i) {
+                shared[i][j] += 1;
             }
         }
-        let mut attributed = vec![0.0f64; n];
-        for id in &ids {
-            let tau = sets[id];
-            let share = costs.cost(tau) / tau.len() as f64;
-            for i in tau.iter() {
-                attributed[i] += share;
+    }
+    let mut sharing = Vec::new();
+    for (i, row) in shared.iter().enumerate() {
+        for (j, &count) in row.iter().enumerate().skip(i + 1) {
+            if count == 0 {
+                continue;
             }
+            let pair = SurveySet::from_iter([i, j]);
+            let apart = costs.cost(SurveySet::singleton(i)) + costs.cost(SurveySet::singleton(j));
+            sharing.push(SharingEdge {
+                surveys: (i, j),
+                shared: count,
+                pair_cost: costs.cost(pair),
+                savings: apart - costs.cost(pair),
+            });
         }
-        let survey_costs = (0..n)
-            .map(|i| SurveyCost {
-                survey: i,
-                individuals: answer.answer(i).len(),
-                attributed_cost: attributed[i],
-            })
-            .collect();
-        Some(PlanExplain {
-            solver: match config.solver {
-                SolverKind::Lp => "lp",
-                SolverKind::Ip => "ip",
-            }
-            .to_string(),
-            joint: config.joint_formulation,
-            selections: selections_explain,
-            programs,
-            sharing,
-            survey_costs,
-            residual_rounds,
-            residual_selections,
-            solver_objective,
-            realized_cost: cost,
-            variables,
-            constraints,
+    }
+    let survey_costs = (0..n)
+        .map(|i| SurveyCost {
+            survey: i,
+            individuals: answer.answer(i).len(),
+            attributed_cost: attributed[i],
         })
-    } else {
-        None
+        .collect();
+    let explain = PlanExplain {
+        solver: match config.solver {
+            SolverKind::Lp => "lp",
+            SolverKind::Ip => "ip",
+        }
+        .to_string(),
+        joint: config.joint_formulation,
+        selections: selections_explain,
+        programs,
+        sharing,
+        survey_costs,
+        residual_rounds,
+        residual_selections,
+        solver_objective,
+        realized_cost: cost,
+        variables,
+        constraints,
     };
-    Ok((
-        CpsRun {
-            answer,
-            cost,
-            solver_objective,
-            residual_selections,
-            variables,
-            constraints,
-            relevant_selections: relevant.len(),
-            timings,
-            phase_stats,
-        },
+    Ok(CpsRun {
+        answer,
+        cost,
+        solver_objective,
+        residual_selections,
+        variables,
+        constraints,
+        relevant_selections: relevant.len(),
+        timings,
+        phase_stats,
         explain,
-    ))
+    })
 }
 
 /// MR-SQE on the combined query Q′, with stratum matching done by
@@ -993,9 +888,6 @@ impl CombineJob for CombinedSqeJob<'_> {
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<usize, Individual>) {
         let sel = StratumSelection::of(t, self.queries);
         if let Some(&k) = self.index.get(&sel) {
-            if let Some(c) = &self.counters {
-                c.candidate(k);
-            }
             out.emit(k, t.clone());
         }
     }
@@ -1070,9 +962,6 @@ impl CombineJob for ResidualMqeJob<'_> {
             }
             let key = (i, sel.clone());
             if self.needed.contains_key(&key) {
-                if let Some(c) = &self.counters {
-                    c.candidate(0);
-                }
                 out.emit(key, t.clone());
             }
         }
@@ -1183,7 +1072,7 @@ fn ip_effort((solution, stats): (Solution, BranchBoundStats)) -> (Solution, Solv
 /// One Figure 3 (sub)program solve, routed through the traced solver
 /// variants when the cluster carries a telemetry registry (pivot, node
 /// and relaxation counters land under `lp.*` / `ip.*`). Always returns
-/// the search effort so EXPLAIN capture costs nothing extra.
+/// the search effort for the plan EXPLAIN.
 fn solve_dispatch(
     problem: &Problem,
     solver: SolverKind,
@@ -1209,7 +1098,7 @@ fn solve_blockwise(
     variables: &mut usize,
     constraints: &mut usize,
     objective: &mut f64,
-    mut explain: Option<&mut Vec<ProgramExplain>>,
+    programs: &mut Vec<ProgramExplain>,
 ) -> Result<Vec<SigmaPlan>, LpError> {
     let mut plans = Vec::with_capacity(relevant.len());
     for sel in relevant {
@@ -1247,18 +1136,16 @@ fn solve_blockwise(
         timings.solve_secs += t1.elapsed().as_secs_f64();
         *objective += solution.objective;
 
-        if let Some(out) = explain.as_deref_mut() {
-            out.push(program_explain(
-                sel.to_string(),
-                &problem,
-                &solution,
-                effort,
-                &taus,
-                &vars,
-                mssd,
-                config,
-            ));
-        }
+        programs.push(program_explain(
+            sel.to_string(),
+            &problem,
+            &solution,
+            effort,
+            &taus,
+            &vars,
+            mssd,
+            config,
+        ));
         let allocations: Vec<(SurveySet, u64)> = taus
             .iter()
             .zip(&vars)
@@ -1330,7 +1217,7 @@ fn solve_joint(
     variables: &mut usize,
     constraints: &mut usize,
     objective: &mut f64,
-    explain: Option<&mut Vec<ProgramExplain>>,
+    programs: &mut Vec<ProgramExplain>,
 ) -> Result<Vec<SigmaPlan>, LpError> {
     let t0 = Instant::now();
     let mut problem = Problem::new();
@@ -1369,20 +1256,18 @@ fn solve_joint(
     timings.solve_secs += t1.elapsed().as_secs_f64();
     *objective = solution.objective;
 
-    if let Some(out) = explain {
-        let all_taus: Vec<SurveySet> = layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
-        let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
-        out.push(program_explain(
-            "joint".to_string(),
-            &problem,
-            &solution,
-            effort,
-            &all_taus,
-            &all_vars,
-            mssd,
-            config,
-        ));
-    }
+    let all_taus: Vec<SurveySet> = layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
+    let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+    programs.push(program_explain(
+        "joint".to_string(),
+        &problem,
+        &solution,
+        effort,
+        &all_taus,
+        &all_vars,
+        mssd,
+        config,
+    ));
 
     Ok(relevant
         .iter()
@@ -1414,9 +1299,20 @@ fn solve_joint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mqe::mr_mqe;
-    use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
+    use crate::input::to_input_splits;
+    use crate::mqe::try_mr_mqe_on_splits;
+    use stratmr_population::{AttrDef, AttrId, Dataset, DistributedDataset, Placement, Schema};
     use stratmr_query::{CostModel, Formula, StratumConstraint};
+
+    fn run_cps(
+        cluster: &Cluster,
+        data: &DistributedDataset,
+        mssd: &MssdQuery,
+        config: CpsConfig,
+        seed: u64,
+    ) -> Result<CpsRun, CpsError> {
+        try_mr_cps_on_splits(cluster, &to_input_splits(data), mssd, config, seed)
+    }
 
     fn x() -> AttrId {
         AttrId(0)
@@ -1452,7 +1348,7 @@ mod tests {
         let sink = TraceSink::new();
         let cluster = Cluster::new(3).with_trace(sink.clone());
         let mssd = overlapping_mssd();
-        mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
+        run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
         let names: Vec<String> = sink.jobs().into_iter().map(|j| j.name).collect();
         assert_eq!(names[0], "cps/initial-mqe", "all: {names:?}");
         assert_eq!(names[1], "cps/limits");
@@ -1470,7 +1366,7 @@ mod tests {
         let data = dataset(2000).distribute(4, 8, Placement::RoundRobin);
         let cluster = Cluster::new(4);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
         assert!(
             run.answer.satisfies(&mssd),
             "CPS answer must satisfy every SSD"
@@ -1486,9 +1382,11 @@ mod tests {
         let mut cps_total = 0.0;
         let mut mqe_total = 0.0;
         for s in 0..runs {
-            let cps = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
+            let cps = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
             cps_total += cps.cost;
-            let mqe = mr_mqe(&cluster, &data, mssd.queries(), s);
+            let mqe =
+                try_mr_mqe_on_splits(&cluster, &to_input_splits(&data), mssd.queries(), None, s)
+                    .unwrap();
             mqe_total += mqe.answer.cost(mssd.costs());
         }
         assert!(
@@ -1503,8 +1401,8 @@ mod tests {
         let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let lp = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7).unwrap();
-        let ip = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
+        let lp = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7).unwrap();
+        let ip = run_cps(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
         assert!(
             lp.solver_objective <= ip.solver_objective + 1e-6,
             "C_LP {} > C_IP {}",
@@ -1524,7 +1422,7 @@ mod tests {
         let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 11).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::exact(), 11).unwrap();
         assert_eq!(
             run.residual_selections, 0,
             "integral solutions need no residual phase"
@@ -1538,7 +1436,7 @@ mod tests {
         let data = dataset(1200).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let block = mr_cps(
+        let block = run_cps(
             &cluster,
             &data,
             &mssd,
@@ -1549,7 +1447,7 @@ mod tests {
             5,
         )
         .unwrap();
-        let joint = mr_cps(
+        let joint = run_cps(
             &cluster,
             &data,
             &mssd,
@@ -1580,7 +1478,7 @@ mod tests {
             vec![q.clone(), q.clone()],
             CostModel::paper_style(2, 4.0, &[], 0.0),
         );
-        let run = mr_cps(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
+        let run = run_cps(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
         let hist = run.answer.sharing_histogram(2);
         assert_eq!(hist[1], 20, "all individuals should serve both surveys");
         assert!(
@@ -1594,7 +1492,7 @@ mod tests {
             vec![q.clone(), q],
             CostModel::paper_style(2, 4.0, &[(0, 1)], 100.0),
         );
-        let run2 = mr_cps(&cluster, &data, &penalized, CpsConfig::mr_cps(), 3).unwrap();
+        let run2 = run_cps(&cluster, &data, &penalized, CpsConfig::mr_cps(), 3).unwrap();
         let hist2 = run2.answer.sharing_histogram(2);
         assert_eq!(hist2[1], 0, "penalty should forbid sharing: {hist2:?}");
         assert!((run2.cost - 160.0).abs() < 1e-9);
@@ -1625,7 +1523,7 @@ mod tests {
         let runs = 40;
         let mut single_men = 0usize;
         for s in 0..runs {
-            let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
+            let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
             assert!(run.answer.satisfies(&mssd));
             single_men += run
                 .answer
@@ -1662,7 +1560,7 @@ mod tests {
         let costs = CostModel::paper_style(3, 4.0, &[(0, 1), (0, 2), (1, 2)], 2.0)
             .with_override(SurveySet::from_iter([0, 1, 2]), 10.0);
         let mssd = MssdQuery::new(vec![q.clone(), q.clone(), q], costs);
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
         assert!(
             (run.solver_objective - 9.0).abs() < 1e-6,
             "expected the fractional optimum 9, got {}",
@@ -1689,7 +1587,7 @@ mod tests {
         let data = dataset(1500).distribute(3, 6, Placement::RoundRobin);
         let cluster = Cluster::new(3).with_telemetry(registry.clone());
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 17).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 17).unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cps.runs"), 1);
@@ -1748,7 +1646,7 @@ mod tests {
         let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2).with_telemetry(registry.clone());
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 19).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::exact(), 19).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ip.solves"), run.relevant_selections as u64);
         assert!(snap.counter("ip.nodes") >= snap.counter("ip.solves"));
@@ -1761,8 +1659,8 @@ mod tests {
         let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let a = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
-        let b = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
+        let a = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
+        let b = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
         assert_eq!(a.answer, b.answer);
         assert_eq!(a.cost, b.cost);
     }
@@ -1772,7 +1670,7 @@ mod tests {
         let data = dataset(100).distribute(2, 2, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = MssdQuery::new(vec![], CostModel::indifferent(vec![]));
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 1).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 1).unwrap();
         assert!(run.answer.is_empty());
         assert_eq!(run.cost, 0.0);
         assert_eq!(run.relevant_selections, 0);
@@ -1787,8 +1685,8 @@ mod tests {
         // splits evenly
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 100), 20)]);
         let free = MssdQuery::new(vec![q.clone(), q], CostModel::paper_style(2, 4.0, &[], 0.0));
-        let (run, explain) =
-            mr_cps_explain(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
+        let run = run_cps(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
+        let explain = &run.explain;
         assert_eq!(explain.sharing.len(), 1);
         let edge = &explain.sharing[0];
         assert_eq!(edge.surveys, (0, 1));
@@ -1814,10 +1712,13 @@ mod tests {
         let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let (_, lp) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7).unwrap();
+        let lp = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7)
+            .unwrap()
+            .explain;
         assert!(lp.optimality_gap() >= 0.0);
         assert!(lp.to_json().contains("\"solver\": \"lp\""));
-        let (run, ip) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
+        let ip = &run.explain;
         assert_eq!(
             ip.optimality_gap(),
             0.0,
@@ -1850,8 +1751,8 @@ mod tests {
         let costs = CostModel::paper_style(3, 4.0, &[(0, 1), (0, 2), (1, 2)], 2.0)
             .with_override(SurveySet::from_iter([0, 1, 2]), 10.0);
         let mssd = MssdQuery::new(vec![q.clone(), q.clone(), q], costs);
-        let (run, explain) =
-            mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+        let explain = &run.explain;
         assert!(!explain.residual_rounds.is_empty());
         let added: u64 = explain.residual_rounds.iter().map(|r| r.added).sum();
         assert_eq!(added as usize, run.residual_selections);
@@ -1880,19 +1781,23 @@ mod tests {
         let data = dataset(1200).distribute(3, 6, Placement::RoundRobin);
         let cluster = Cluster::new(3);
         let mssd = overlapping_mssd();
-        let (_, a) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
-        let (_, b) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
-        assert_eq!(a.to_json(), b.to_json(), "fixed seed → identical bytes");
-        assert_eq!(a.render_text(), b.render_text());
-        // capture must not perturb the pipeline itself
-        let plain = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
-        assert_eq!(plain.cost, a.realized_cost);
+        let a = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
+        let b = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
+        assert_eq!(
+            a.explain.to_json(),
+            b.explain.to_json(),
+            "fixed seed → identical bytes"
+        );
+        assert_eq!(a.explain.render_text(), b.explain.render_text());
+        assert_eq!(a.cost, a.explain.realized_cost);
         // joint formulation collapses the programs into one
         let joint_cfg = CpsConfig {
             joint_formulation: true,
             ..CpsConfig::mr_cps()
         };
-        let (_, j) = mr_cps_explain(&cluster, &data, &mssd, joint_cfg, 21).unwrap();
+        let j = run_cps(&cluster, &data, &mssd, joint_cfg, 21)
+            .unwrap()
+            .explain;
         assert_eq!(j.programs.len(), 1);
         assert_eq!(j.programs[0].selection, "joint");
         assert_eq!(j.programs[0].variables.len(), j.variables);
@@ -1903,7 +1808,7 @@ mod tests {
         let data = dataset(800).distribute(2, 4, Placement::RoundRobin);
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 2).unwrap();
+        let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 2).unwrap();
         let labels: Vec<&str> = run.phase_stats.iter().map(|(l, _)| l.as_str()).collect();
         assert!(labels.contains(&"initial MR-MQE"));
         assert!(labels.contains(&"selection limits"));

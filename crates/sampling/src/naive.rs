@@ -10,8 +10,8 @@
 use crate::reservoir::reservoir_sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use stratmr_mapreduce::{Cluster, Emitter, InputSplit, Job, JobStats, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, Job, JobError, JobStats, TaskCtx};
+use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId};
 
 /// The Figure 1 job: `map(null, t) → [(s_k, t)]`,
@@ -64,40 +64,36 @@ pub struct SqeRun {
     pub stats: JobStats,
 }
 
-/// Run the naive sampler on pre-built input splits.
-pub fn naive_sqe_on_splits(
+/// Run the naive sampler on input splits. Scheduling failures come back
+/// as [`JobError`].
+pub fn try_naive_sqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     query: &SsdQuery,
     seed: u64,
-) -> SqeRun {
+) -> Result<SqeRun, JobError> {
     let job = NaiveSqeJob::new(query);
-    let out = cluster.named_or("naive-sqe").run(&job, splits, seed);
+    let out = cluster.named_or("naive-sqe").try_run(&job, splits, seed)?;
     let mut answer = SsdAnswer::empty(query.len());
     for (k, sample) in out.results {
         *answer.stratum_mut(k) = sample;
     }
-    SqeRun {
+    Ok(SqeRun {
         answer,
         stats: out.stats,
-    }
-}
-
-/// Run the naive sampler over a distributed dataset.
-pub fn naive_sqe(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    naive_sqe_on_splits(cluster, &crate::input::to_input_splits(data), query, seed)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
+    use crate::input::to_input_splits;
+    use stratmr_population::{AttrDef, AttrId, Dataset, DistributedDataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
+
+    fn run_naive(cluster: &Cluster, data: &DistributedDataset, q: &SsdQuery, seed: u64) -> SqeRun {
+        try_naive_sqe_on_splits(cluster, &to_input_splits(data), q, seed).unwrap()
+    }
 
     fn dataset(n: usize) -> Dataset {
         let schema = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
@@ -120,7 +116,7 @@ mod tests {
         let data = dataset(1000).distribute(4, 8, Placement::RoundRobin);
         let cluster = Cluster::new(4);
         let q = two_strata_query();
-        let run = naive_sqe(&cluster, &data, &q, 42);
+        let run = run_naive(&cluster, &data, &q, 42);
         assert!(run.answer.satisfies(&q));
         // everything matching a stratum was shuffled — the naive cost
         assert_eq!(run.stats.map_output_records, 1000);
@@ -132,7 +128,7 @@ mod tests {
         let x = AttrId(0);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x, 3), 10)]);
         let cluster = Cluster::new(2);
-        let run = naive_sqe(&cluster, &data, &q, 1);
+        let run = run_naive(&cluster, &data, &q, 1);
         assert_eq!(run.answer.stratum(0).len(), 3);
         assert!(run.answer.satisfies_clamped(&q, Some(&[3])));
     }
@@ -146,7 +142,7 @@ mod tests {
             StratumConstraint::new(Formula::gt(x, 1000), 5), // matches nothing
         ]);
         let cluster = Cluster::new(2);
-        let run = naive_sqe(&cluster, &data, &q, 3);
+        let run = run_naive(&cluster, &data, &q, 3);
         assert_eq!(run.answer.stratum(0).len(), 5);
         assert!(run.answer.stratum(1).is_empty());
     }
@@ -156,10 +152,10 @@ mod tests {
         let data = dataset(500).distribute(3, 6, Placement::RoundRobin);
         let cluster = Cluster::new(3);
         let q = two_strata_query();
-        let a = naive_sqe(&cluster, &data, &q, 9);
-        let b = naive_sqe(&cluster, &data, &q, 9);
+        let a = run_naive(&cluster, &data, &q, 9);
+        let b = run_naive(&cluster, &data, &q, 9);
         assert_eq!(a.answer, b.answer);
-        let c = naive_sqe(&cluster, &data, &q, 10);
+        let c = run_naive(&cluster, &data, &q, 10);
         assert_ne!(a.answer, c.answer);
     }
 }

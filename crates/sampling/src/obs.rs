@@ -2,15 +2,15 @@
 //!
 //! The MapReduce jobs in this crate run their `map`/`combine`/`reduce`
 //! callbacks inside the cluster's parallel sections, so counter handles
-//! are prefetched here once per job (taking the registry lock) and the
-//! hot paths only touch lock-free atomics.
+//! are prefetched here once per job (taking the registry lock). Only the
+//! reducers touch them, once per key: the map loop counts nothing.
 //!
 //! Counter naming scheme (all monotone `u64`):
 //!
 //! | name | meaning |
 //! |---|---|
 //! | `<job>.s<k>.requested` | the frequency `f_k` the query asked for |
-//! | `<job>.s<k>.candidates` | map-phase tuples matched into stratum `k` |
+//! | `<job>.s<k>.candidates` | tuples matched into stratum `k`: the reducer's `seen`, the sum of its intermediate samples' `drawn_from` |
 //! | `<job>.s<k>.sampled` | tuples in stratum `k`'s final sample |
 //! | `<job>.s<k>.rejected` | candidates observed but not selected |
 //!
@@ -71,15 +71,10 @@ impl StratumCounters {
         self.requested[k].add(f);
     }
 
-    /// A map-phase match for stratum `k`.
-    #[inline]
-    pub fn candidate(&self, k: usize) {
-        self.candidates[k].inc();
-    }
-
     /// Stratum `k`'s reducer produced `sampled` tuples out of `seen`
-    /// observed candidates.
+    /// candidates, the tuples its combiners observed.
     pub fn reduced(&self, k: usize, sampled: u64, seen: u64) {
+        self.candidates[k].add(seen);
         self.sampled[k].add(sampled);
         self.rejected[k].add(seen.saturating_sub(sampled));
     }

@@ -7,8 +7,8 @@
 //! design into an absolute [`SsdQuery`] with one extra MapReduce
 //! counting pass, then runs MR-SQE.
 
-use crate::sqe::{mr_sqe_on_splits, SqeRun};
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobStats, TaskCtx};
+use crate::sqe::{try_mr_sqe_on_splits, SqeRun};
+use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::Individual;
 use stratmr_query::{Formula, SsdQuery, StratumConstraint, StratumId};
 
@@ -94,18 +94,18 @@ impl CombineJob for CountJob<'_> {
 /// Resolve a percentage design to an absolute [`SsdQuery`] by counting
 /// stratum sizes with one MapReduce pass. Frequencies are rounded to the
 /// nearest integer, with a minimum of 1 for non-empty strata.
-pub fn resolve_percentages(
+fn resolve_percentages(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     query: &PercentSsdQuery,
     seed: u64,
-) -> (SsdQuery, JobStats) {
+) -> Result<(SsdQuery, JobStats), JobError> {
     let job = CountJob {
         strata: &query.strata,
     };
     let out = cluster
         .named_or("percent-resolve")
-        .run_with_combiner(&job, splits, seed);
+        .try_run_with_combiner(&job, splits, seed)?;
     let mut counts = vec![0u64; query.strata.len()];
     for (k, c) in out.results {
         counts[k] = c;
@@ -123,7 +123,7 @@ pub fn resolve_percentages(
             StratumConstraint::new(s.formula.clone(), f)
         })
         .collect();
-    (SsdQuery::new(constraints), out.stats)
+    Ok((SsdQuery::new(constraints), out.stats))
 }
 
 /// Result of a percentage-based sampling run.
@@ -138,20 +138,21 @@ pub struct PercentRun {
 }
 
 /// Answer a percentage-based stratified design: one counting pass plus
-/// one MR-SQE pass.
-pub fn mr_sqe_percent(
+/// one MR-SQE pass. Scheduling failures in either pass come back as
+/// [`JobError`].
+pub fn try_mr_sqe_percent_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     query: &PercentSsdQuery,
     seed: u64,
-) -> PercentRun {
-    let (resolved, count_stats) = resolve_percentages(cluster, splits, query, seed);
-    let run = mr_sqe_on_splits(cluster, splits, &resolved, seed.wrapping_add(1));
-    PercentRun {
+) -> Result<PercentRun, JobError> {
+    let (resolved, count_stats) = resolve_percentages(cluster, splits, query, seed)?;
+    let run = try_mr_sqe_on_splits(cluster, splits, &resolved, seed.wrapping_add(1))?;
+    Ok(PercentRun {
         resolved,
         run,
         count_stats,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -187,7 +188,7 @@ mod tests {
                 percent: 2.0,
             },
         ]);
-        let (resolved, stats) = resolve_percentages(&cluster, &splits, &q, 1);
+        let (resolved, stats) = resolve_percentages(&cluster, &splits, &q, 1).unwrap();
         assert_eq!(resolved.stratum(0).frequency, 50); // 10% of 500
         assert_eq!(resolved.stratum(1).frequency, 10); // 2% of 500
         assert_eq!(stats.map_input_records, 1000);
@@ -201,7 +202,7 @@ mod tests {
             formula: Formula::lt(x(), 20),
             percent: 5.0,
         }]);
-        let result = mr_sqe_percent(&cluster, &splits, &q, 7);
+        let result = try_mr_sqe_percent_on_splits(&cluster, &splits, &q, 7).unwrap();
         // 400 tuples below 20 → 5% = 20
         assert_eq!(result.resolved.stratum(0).frequency, 20);
         assert_eq!(result.run.answer.stratum(0).len(), 20);
@@ -216,7 +217,7 @@ mod tests {
             formula: Formula::lt(x(), 1), // 10 members
             percent: 1.0,                 // 0.1 rounds to 0 → min 1
         }]);
-        let (resolved, _) = resolve_percentages(&cluster, &splits, &q, 2);
+        let (resolved, _) = resolve_percentages(&cluster, &splits, &q, 2).unwrap();
         assert_eq!(resolved.stratum(0).frequency, 1);
     }
 
@@ -228,7 +229,7 @@ mod tests {
             formula: Formula::gt(x(), 10_000),
             percent: 50.0,
         }]);
-        let (resolved, _) = resolve_percentages(&cluster, &splits, &q, 3);
+        let (resolved, _) = resolve_percentages(&cluster, &splits, &q, 3).unwrap();
         assert_eq!(resolved.stratum(0).frequency, 0);
     }
 

@@ -17,8 +17,8 @@ use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
-use stratmr_query::{SsdAnswer, SsdQuery, StratumId, StratumIndex};
+use stratmr_population::Individual;
+use stratmr_query::{SsdAnswer, SsdQuery, StratumId};
 use stratmr_telemetry::Registry;
 
 pub use crate::naive::SqeRun;
@@ -26,7 +26,6 @@ pub use crate::naive::SqeRun;
 /// The Figure 2 job.
 pub struct SqeJob<'a> {
     query: &'a SsdQuery,
-    index: Option<StratumIndex>,
     counters: Option<StratumCounters>,
 }
 
@@ -35,17 +34,8 @@ impl<'a> SqeJob<'a> {
     pub fn new(query: &'a SsdQuery) -> Self {
         Self {
             query,
-            index: None,
             counters: None,
         }
-    }
-
-    /// Match tuples through a [`StratumIndex`] instead of a linear scan —
-    /// identical results, faster maps on queries with many rectangular
-    /// strata (the Large group's 256 per SSD).
-    pub fn with_index(mut self) -> Self {
-        self.index = Some(StratumIndex::build(self.query));
-        self
     }
 
     /// Emit per-stratum `sqe.s<k>.{requested,candidates,sampled,rejected}`
@@ -68,14 +58,7 @@ impl CombineJob for SqeJob<'_> {
     type ReduceOut = Vec<Individual>;
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
-        let stratum = match &self.index {
-            Some(index) => index.matching_stratum(self.query, t),
-            None => self.query.matching_stratum(t),
-        };
-        if let Some(k) = stratum {
-            if let Some(c) = &self.counters {
-                c.candidate(k);
-            }
+        if let Some(k) = self.query.matching_stratum(t) {
             out.emit(k, t.clone());
         }
     }
@@ -122,67 +105,18 @@ impl CombineJob for SqeJob<'_> {
     }
 }
 
-/// Run MR-SQE on pre-built input splits.
-pub fn mr_sqe_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    mr_sqe_with_job(cluster, splits, query, SqeJob::new(query), seed)
-}
-
-/// Run MR-SQE with the indexed matcher (identical answers, faster maps
-/// on many-strata rectangular queries).
-pub fn mr_sqe_indexed_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    mr_sqe_with_job(
-        cluster,
-        splits,
-        query,
-        SqeJob::new(query).with_index(),
-        seed,
-    )
-}
-
-/// Fault-aware [`mr_sqe_on_splits`]: surfaces scheduling failures (retry
-/// exhaustion, no healthy machines under a fault plan) as [`JobError`]
-/// instead of panicking.
+/// Run MR-SQE on input splits (build them once per dataset with
+/// [`crate::to_input_splits`]). Scheduling failures — retry exhaustion,
+/// no healthy machine under a fault plan — come back as [`JobError`].
 pub fn try_mr_sqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     query: &SsdQuery,
     seed: u64,
 ) -> Result<SqeRun, JobError> {
-    try_mr_sqe_with_job(cluster, splits, query, SqeJob::new(query), seed)
-}
-
-fn mr_sqe_with_job(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    job: SqeJob<'_>,
-    seed: u64,
-) -> SqeRun {
-    match try_mr_sqe_with_job(cluster, splits, query, job, seed) {
-        Ok(run) => run,
-        Err(e) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-fn try_mr_sqe_with_job(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    mut job: SqeJob<'_>,
-    seed: u64,
-) -> Result<SqeRun, JobError> {
     let cluster = cluster.named_or("sqe");
     let _span = cluster.telemetry().map(|t| t.span("sqe.run"));
+    let mut job = SqeJob::new(query);
     if let Some(registry) = cluster.telemetry() {
         job = job.with_telemetry(registry);
     }
@@ -197,18 +131,18 @@ fn try_mr_sqe_with_job(
     })
 }
 
-/// Run MR-SQE over a distributed dataset.
-pub fn mr_sqe(cluster: &Cluster, data: &DistributedDataset, query: &SsdQuery, seed: u64) -> SqeRun {
-    mr_sqe_on_splits(cluster, &crate::input::to_input_splits(data), query, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::naive_sqe;
+    use crate::input::to_input_splits;
+    use crate::naive::try_naive_sqe_on_splits;
     use crate::stats::{chi2_critical_999, chi2_uniform};
-    use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
+    use stratmr_population::{AttrDef, AttrId, Dataset, DistributedDataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
+
+    fn run_sqe(cluster: &Cluster, data: &DistributedDataset, q: &SsdQuery, seed: u64) -> SqeRun {
+        try_mr_sqe_on_splits(cluster, &to_input_splits(data), q, seed).unwrap()
+    }
 
     fn dataset(n: usize) -> Dataset {
         let schema = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
@@ -231,7 +165,7 @@ mod tests {
         let data = dataset(2000).distribute(5, 10, Placement::RoundRobin);
         let cluster = Cluster::new(5);
         let q = two_strata_query(10, 20);
-        let run = mr_sqe(&cluster, &data, &q, 11);
+        let run = run_sqe(&cluster, &data, &q, 11);
         assert!(run.answer.satisfies(&q));
     }
 
@@ -240,8 +174,8 @@ mod tests {
         let data = dataset(5000).distribute(5, 20, Placement::RoundRobin);
         let cluster = Cluster::new(5);
         let q = two_strata_query(5, 5);
-        let naive = naive_sqe(&cluster, &data, &q, 11);
-        let sqe = mr_sqe(&cluster, &data, &q, 11);
+        let naive = try_naive_sqe_on_splits(&cluster, &to_input_splits(&data), &q, 11).unwrap();
+        let sqe = run_sqe(&cluster, &data, &q, 11);
         assert_eq!(naive.answer.stratum(0).len(), sqe.answer.stratum(0).len());
         assert!(
             sqe.stats.shuffle_bytes * 10 < naive.stats.shuffle_bytes,
@@ -259,7 +193,7 @@ mod tests {
         let x = AttrId(0);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x, 4), 50)]);
         let cluster = Cluster::new(3);
-        let run = mr_sqe(&cluster, &data, &q, 2);
+        let run = run_sqe(&cluster, &data, &q, 2);
         assert_eq!(run.answer.stratum(0).len(), 4);
     }
 
@@ -269,29 +203,8 @@ mod tests {
         let cluster = Cluster::new(2);
         let q = two_strata_query(5, 5);
         assert_eq!(
-            mr_sqe(&cluster, &data, &q, 7).answer,
-            mr_sqe(&cluster, &data, &q, 7).answer
-        );
-    }
-
-    #[test]
-    fn indexed_and_linear_matching_agree_exactly() {
-        let data = dataset(3000).distribute(4, 8, Placement::RoundRobin);
-        let splits = crate::input::to_input_splits(&data);
-        let cluster = Cluster::new(4);
-        // many banded strata, as in the paper's Large group
-        let x = AttrId(0);
-        let q = SsdQuery::new(
-            (0..20)
-                .map(|k| StratumConstraint::new(Formula::between(x, k * 5, k * 5 + 4), 2))
-                .collect(),
-        );
-        let plain = mr_sqe_on_splits(&cluster, &splits, &q, 31);
-        let indexed = super::mr_sqe_indexed_on_splits(&cluster, &splits, &q, 31);
-        assert_eq!(plain.answer, indexed.answer, "index changed the sample");
-        assert_eq!(
-            plain.stats.map_output_records,
-            indexed.stats.map_output_records
+            run_sqe(&cluster, &data, &q, 7).answer,
+            run_sqe(&cluster, &data, &q, 7).answer
         );
     }
 
@@ -314,7 +227,7 @@ mod tests {
         let trials = 8_000usize;
         let mut counts = vec![0u64; 24];
         for s in 0..trials {
-            let run = mr_sqe(&cluster, &data, &q, s as u64);
+            let run = run_sqe(&cluster, &data, &q, s as u64);
             for t in run.answer.stratum(0) {
                 counts[t.id as usize] += 1;
             }
@@ -337,7 +250,7 @@ mod tests {
         let data = dataset(1000).distribute(3, 6, Placement::RoundRobin);
         let cluster = Cluster::new(3).with_telemetry(registry.clone());
         let q = two_strata_query(7, 9);
-        let run = mr_sqe(&cluster, &data, &q, 13);
+        let run = run_sqe(&cluster, &data, &q, 13);
         let snap = registry.snapshot();
         for k in 0..2 {
             let candidates = snap.counter(&format!("sqe.s{k}.candidates"));
@@ -361,7 +274,6 @@ mod tests {
     #[test]
     fn paper_example_5() {
         use stratmr_population::dataset::Split;
-        use stratmr_population::DistributedDataset;
         let x = AttrId(0); // 0 = man, 1 = woman
         let schema = Schema::new(vec![AttrDef::numeric("x", 0, 1)]);
         // machine 1: 20 men, 16 women; machine 2: 10 men, 18 women
@@ -390,7 +302,7 @@ mod tests {
             StratumConstraint::new(Formula::eq(x, 1), 6),
         ]);
         let cluster = Cluster::new(2);
-        let run = mr_sqe(&cluster, &data, &q, 3);
+        let run = run_sqe(&cluster, &data, &q, 3);
         assert_eq!(run.answer.stratum(0).len(), 5);
         assert_eq!(run.answer.stratum(1).len(), 6);
         assert!(run.answer.satisfies(&q));

@@ -9,7 +9,8 @@ use stratmr::mapreduce::Cluster;
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{Formula, SsdQuery, StratumConstraint};
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::to_input_splits;
 
 fn main() {
     // 1. A population of 50k synthetic DBLP authors (Table 1 attributes).
@@ -23,7 +24,7 @@ fn main() {
     );
 
     // 2. Distribute onto 10 machines as 40 input splits.
-    let distributed = population.distribute(10, 40, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(10, 40, Placement::RoundRobin));
 
     // 3. A stratified sample design: survey career stages separately.
     //    Veterans (first publication before 1990) are rare; stratifying
@@ -45,7 +46,8 @@ fn main() {
 
     // 4. Run MR-SQE.
     let cluster = Cluster::new(10);
-    let run = mr_sqe(&cluster, &distributed, &query, 7);
+    let run = try_mr_sqe_on_splits(&cluster, &splits, &query, 7)
+        .expect("a fault-free cluster completes every job");
 
     println!("\nsample ({} individuals):", run.answer.len());
     for (k, _) in query.constraints().iter().enumerate() {

@@ -11,8 +11,9 @@ use stratmr::population::graph::SocialGraph;
 use stratmr::population::Placement;
 use stratmr::query::{design_ssd, Allocation, Formula};
 use stratmr::sampling::estimate::{srs_mean, stratified_mean};
-use stratmr::sampling::sqe::mr_sqe;
-use stratmr::sampling::srs::mr_srs;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::srs::try_mr_srs_on_splits;
+use stratmr::sampling::to_input_splits;
 
 fn main() {
     // a 100k-member social network with preferential attachment
@@ -55,9 +56,10 @@ fn main() {
         println!("  {:<22} {:>5}", names[k], s.frequency);
     }
 
-    let dist = population.distribute(10, 40, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(10, 40, Placement::RoundRobin));
     let cluster = Cluster::new(10);
-    let run = mr_sqe(&cluster, &dist, &query, 7);
+    let run = try_mr_sqe_on_splits(&cluster, &splits, &query, 7)
+        .expect("a fault-free cluster completes every job");
     assert!(run.answer.satisfies(&query));
 
     let stratum_sizes: Vec<usize> = query
@@ -75,7 +77,8 @@ fn main() {
 
     // same budget, simple random sample — noisier on this heavy-tailed
     // attribute (the Example 1 phenomenon)
-    let (srs_sample, _) = mr_srs(&cluster, &dist, 400, 7);
+    let (srs_sample, _) = try_mr_srs_on_splits(&cluster, &splits, 400, 7)
+        .expect("a fault-free cluster completes every job");
     let srs_est = srs_mean(&srs_sample, population.len(), degree);
     println!(
         "simple-random estimate          : {:.2} ± {:.2}",

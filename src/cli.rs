@@ -28,13 +28,14 @@ use stratmr_mapreduce::Cluster;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::export::{read_csv, write_csv};
 use stratmr_population::uniform::generate_uniform;
-use stratmr_population::{Dataset, Placement, Schema};
+use stratmr_population::{Dataset, Individual, Placement, Schema};
 use stratmr_query::{
-    parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdQuery, StratumConstraint,
+    check_disjoint_static, parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdError,
+    SsdQuery, StaticCheck, StratumConstraint,
 };
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
-use stratmr_sampling::sqe::mr_sqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
+use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
 /// A parsed CLI invocation.
@@ -261,6 +262,44 @@ pub fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn
     Ok(MssdQuery::new(queries, costs))
 }
 
+/// Grid points [`check_disjoint_static`] may enumerate before the
+/// design check falls back to scanning the population.
+const STATIC_CHECK_BUDGET: u128 = 1_000_000;
+
+/// Reject a design the samplers would answer silently wrong: a stratum
+/// with `take: 0`, or two strata that overlap (§3.2 requires disjoint
+/// strata). Disjointness is proved over the schema's domain where the
+/// grid is small enough, and otherwise checked over `population`.
+fn check_design(
+    query: &SsdQuery,
+    schema: &Schema,
+    population: &[Individual],
+) -> Result<(), String> {
+    let show = |k: usize| format!("{k} ({})", query.stratum(k).formula.display(schema));
+    if let Some(k) = query.constraints().iter().position(|s| s.frequency == 0) {
+        return Err(format!(
+            "stratum {} has take 0; take must be at least 1",
+            show(k)
+        ));
+    }
+    let overlap = match check_disjoint_static(query, schema, STATIC_CHECK_BUDGET) {
+        StaticCheck::Disjoint => None,
+        StaticCheck::Overlap { first, second, .. } => Some((first, second)),
+        StaticCheck::TooLarge { .. } => match query.validate_disjoint(population) {
+            Err(SsdError::Overlap { first, second, .. }) => Some((first, second)),
+            _ => None,
+        },
+    };
+    match overlap {
+        Some((first, second)) => Err(format!(
+            "strata {} and {} overlap; the strata of a design must be disjoint",
+            show(first),
+            show(second)
+        )),
+        None => Ok(()),
+    }
+}
+
 fn load_population(path: &PathBuf) -> Result<Dataset, Box<dyn Error>> {
     let schema = DblpGenerator::schema();
     let file = File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
@@ -324,9 +363,10 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             let schema = pop.schema().clone();
             let spec: SsdSpec = serde_json::from_reader(BufReader::new(File::open(&spec)?))?;
             let query = build_ssd(&spec, &schema)?;
+            check_design(&query, &schema, pop.tuples())?;
             let dist = pop.distribute(machines, machines * 4, Placement::RoundRobin);
             let splits = to_input_splits(&dist);
-            let run = mr_sqe_on_splits(&Cluster::new(machines), &splits, &query, seed);
+            let run = try_mr_sqe_on_splits(&Cluster::new(machines), &splits, &query, seed)?;
             for (k, s) in query.constraints().iter().enumerate() {
                 println!(
                     "stratum {k}: {} of {} requested — {}",
@@ -354,8 +394,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             let sample_data = read_csv(&schema, BufReader::new(sample_file))?;
 
             // partition the sample by stratum and verify the design
-            let mut strata: Vec<Vec<stratmr_population::Individual>> =
-                vec![Vec::new(); query.len()];
+            let mut strata: Vec<Vec<Individual>> = vec![Vec::new(); query.len()];
             let mut unmatched = 0usize;
             for t in sample_data.tuples() {
                 match query.matching_stratum(t) {
@@ -411,19 +450,23 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             let schema = pop.schema().clone();
             let spec: MssdSpec = serde_json::from_reader(BufReader::new(File::open(&spec)?))?;
             let mssd = build_mssd(&spec, &schema)?;
+            for (i, query) in mssd.queries().iter().enumerate() {
+                check_design(query, &schema, pop.tuples())
+                    .map_err(|e| format!("survey {i}: {e}"))?;
+            }
             let dist = pop.distribute(machines, machines * 4, Placement::RoundRobin);
             let splits = to_input_splits(&dist);
             let cluster = Cluster::new(machines);
             let answer = if optimize {
-                let run = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), seed)
-                    .map_err(|e| format!("constraint program failed: {e}"))?;
+                let run =
+                    try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), seed)?;
                 println!(
                     "MR-CPS: cost ${:.2} (program objective ${:.2}, {} residual top-ups)",
                     run.cost, run.solver_objective, run.residual_selections
                 );
                 run.answer
             } else {
-                let run = mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, seed);
+                let run = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, seed)?;
                 println!(
                     "MR-MQE: cost ${:.2} (no sharing optimization)",
                     run.answer.cost(mssd.costs())
@@ -649,6 +692,126 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("audit failed"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Run `sample` with `design` over a fresh 1,000-author population.
+    fn sample_with(design: &str, tag: &str) -> Result<(), Box<dyn Error>> {
+        let dir = std::env::temp_dir().join(format!("stratmr-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("pop.csv");
+        run(Command::Gen {
+            out: data.clone(),
+            n: 1_000,
+            seed: 8,
+            uniform: false,
+        })
+        .unwrap();
+        let spec = dir.join("query.json");
+        std::fs::write(&spec, design).unwrap();
+        let out = run(Command::Sample {
+            data,
+            spec,
+            machines: 2,
+            seed: 1,
+            out: None,
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        out
+    }
+
+    #[test]
+    fn sample_rejects_overlapping_strata() {
+        let err = sample_with(
+            r#"{ "strata": [
+                { "where": "fy >= 1990", "take": 5 },
+                { "where": "fy >= 2000", "take": 5 }
+            ]}"#,
+            "overlap",
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("overlap"), "{err}");
+        assert!(err.contains("0 (fy ≥ 1990)"), "{err}");
+        assert!(err.contains("1 (fy ≥ 2000)"), "{err}");
+    }
+
+    #[test]
+    fn sample_rejects_zero_take() {
+        let err = sample_with(
+            r#"{ "strata": [
+                { "where": "fy < 2000", "take": 5 },
+                { "where": "fy >= 2000", "take": 0 }
+            ]}"#,
+            "zero-take",
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("1 (fy ≥ 2000) has take 0"), "{err}");
+    }
+
+    #[test]
+    fn overlap_past_the_static_budget_is_found_in_the_data() {
+        // both strata bound all eight attributes, so the static grid is
+        // too large to enumerate and the check scans the population
+        let schema = DblpGenerator::schema();
+        let spec: SsdSpec = serde_json::from_str(
+            r#"{ "strata": [
+                { "where": "nop >= 2 && ayp >= 1 && myp >= 1 && fy >= 1940 && ly >= 1940 && cc >= 2 && ndcc >= 2 && accpp >= 1", "take": 5 },
+                { "where": "nop <= 600 && ayp <= 39 && myp <= 139 && fy <= 2012 && ly <= 2012 && cc <= 999 && ndcc <= 2499 && accpp <= 128", "take": 5 }
+            ]}"#,
+        )
+        .unwrap();
+        let query = build_ssd(&spec, &schema).unwrap();
+        assert!(matches!(
+            check_disjoint_static(&query, &schema, STATIC_CHECK_BUDGET),
+            StaticCheck::TooLarge { .. }
+        ));
+        let pop = DblpGenerator::new(DblpConfig::default()).generate(1_000, 8);
+        let err = check_design(&query, &schema, pop.tuples()).unwrap_err();
+        assert!(
+            err.contains("strata 0 (") && err.contains("overlap"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mssd_rejects_an_invalid_survey() {
+        let dir = std::env::temp_dir().join(format!("stratmr-mssd-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("pop.csv");
+        run(Command::Gen {
+            out: data.clone(),
+            n: 500,
+            seed: 9,
+            uniform: false,
+        })
+        .unwrap();
+        let spec = dir.join("mssd.json");
+        std::fs::write(
+            &spec,
+            r#"{
+                "surveys": [
+                    { "strata": [ { "where": "nop >= 1", "take": 5 } ] },
+                    { "strata": [
+                        { "where": "nop < 10", "take": 5 },
+                        { "where": "nop >= 5", "take": 5 }
+                    ] }
+                ]
+            }"#,
+        )
+        .unwrap();
+        let err = run(Command::Mssd {
+            data,
+            spec,
+            machines: 2,
+            seed: 5,
+            optimize: false,
+            out_prefix: None,
+        })
+        .unwrap_err()
+        .to_string();
+        assert!(err.starts_with("survey 1: strata 0 (nop < 10)"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,13 +21,13 @@
 //! use stratmr::population::Placement;
 //! use stratmr::query::{Formula, SsdQuery, StratumConstraint};
 //! use stratmr::mapreduce::Cluster;
-//! use stratmr::sampling::sqe::mr_sqe;
+//! use stratmr::sampling::{to_input_splits, try_mr_sqe_on_splits};
 //!
 //! // A population of 10k synthetic DBLP authors on a 10-machine cluster.
 //! let gen = DblpGenerator::new(DblpConfig::default());
 //! let data = gen.generate(10_000, 42);
 //! let schema = data.schema().clone();
-//! let dist = data.distribute(10, 40, Placement::RoundRobin);
+//! let splits = to_input_splits(&data.distribute(10, 40, Placement::RoundRobin));
 //! let cluster = Cluster::new(10);
 //!
 //! // Survey 25 prolific and 50 casual authors.
@@ -37,9 +37,10 @@
 //!     StratumConstraint::new(Formula::lt(nop, 100), 50),
 //! ]);
 //!
-//! let answer = mr_sqe(&cluster, &dist, &query, 7).answer;
+//! let answer = try_mr_sqe_on_splits(&cluster, &splits, &query, 7)?.answer;
 //! assert_eq!(answer.stratum(0).len(), 25);
 //! assert_eq!(answer.stratum(1).len(), 50);
+//! # Ok::<(), stratmr::mapreduce::JobError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -22,8 +22,12 @@ use stratmr::population::{AttrDef, AttrId, Dataset, Placement, Schema};
 use stratmr::query::{CostModel, Formula, MssdQuery, SsdQuery, StratumConstraint};
 use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig, CpsError};
 use stratmr::sampling::mqe::try_mr_mqe_on_splits;
+use stratmr::sampling::percent::{PercentSsdQuery, PercentStratum};
 use stratmr::sampling::sqe::try_mr_sqe_on_splits;
-use stratmr::sampling::to_input_splits;
+use stratmr::sampling::{
+    to_input_splits, try_mr_sqe_percent_on_splits, try_mr_srs_on_splits, try_naive_sqe_on_splits,
+    try_stratum_selection_limits,
+};
 use stratmr_mapreduce::InputSplit;
 use stratmr_population::Individual;
 
@@ -297,7 +301,7 @@ fn cps_pipeline_survives_chaos_bit_identically() {
 }
 
 /// A plan that crashes every node before any work finishes cannot
-/// complete — all three samplers must surface the typed error.
+/// complete — every sampling entry point must surface the typed error.
 #[test]
 fn impossible_plans_fail_with_typed_errors() {
     let machines = 3usize;
@@ -320,6 +324,26 @@ fn impossible_plans_fail_with_typed_errors() {
     assert!(matches!(
         try_mr_cps_on_splits(&cluster, &splits, &mssd(), CpsConfig::mr_cps(), 1),
         Err(CpsError::Job(JobError::NoHealthyMachines { .. }))
+    ));
+    assert!(matches!(
+        try_naive_sqe_on_splits(&cluster, &splits, q, 1),
+        Err(JobError::NoHealthyMachines { phase: "map", .. })
+    ));
+    assert!(matches!(
+        try_mr_srs_on_splits(&cluster, &splits, 10, 1),
+        Err(JobError::NoHealthyMachines { phase: "map", .. })
+    ));
+    let percent = PercentSsdQuery::new(vec![PercentStratum {
+        formula: Formula::lt(AttrId(0), 50),
+        percent: 5.0,
+    }]);
+    assert!(matches!(
+        try_mr_sqe_percent_on_splits(&cluster, &splits, &percent, 1),
+        Err(JobError::NoHealthyMachines { phase: "map", .. })
+    ));
+    assert!(matches!(
+        try_stratum_selection_limits(&cluster, &splits, &qs, None, 1),
+        Err(JobError::NoHealthyMachines { phase: "map", .. })
     ));
 }
 

@@ -7,8 +7,8 @@ use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{design_ssd, Allocation, Formula};
 use stratmr::sampling::estimate::stratified_mean;
-use stratmr::sampling::percent::{mr_sqe_percent, PercentSsdQuery, PercentStratum};
-use stratmr::sampling::sqe::mr_sqe_on_splits;
+use stratmr::sampling::percent::{try_mr_sqe_percent_on_splits, PercentSsdQuery, PercentStratum};
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
 use stratmr::sampling::stream::{merge_streams, StreamingSampler};
 use stratmr::sampling::to_input_splits;
 
@@ -32,7 +32,7 @@ fn percentage_design_over_dblp() {
             percent: 0.2,
         },
     ]);
-    let result = mr_sqe_percent(&cluster, &splits, &design, 5);
+    let result = try_mr_sqe_percent_on_splits(&cluster, &splits, &design, 5).unwrap();
     let veterans = data.tuples().iter().filter(|t| t.get(fy) < 1990).count();
     let rest = data.len() - veterans;
     let expect0 = ((veterans as f64 * 0.01).round() as usize).max(1);
@@ -76,7 +76,7 @@ fn streaming_sampler_matches_batch_design() {
 
     // MapReduce over the same population
     let dist = data.distribute(4, 8, Placement::RoundRobin);
-    let run = mr_sqe_on_splits(&Cluster::new(4), &to_input_splits(&dist), &query, 11);
+    let run = try_mr_sqe_on_splits(&Cluster::new(4), &to_input_splits(&dist), &query, 11).unwrap();
     assert!(run.answer.satisfies(&query));
 }
 
@@ -106,7 +106,7 @@ fn neyman_design_estimates_better_than_equal_on_skewed_attribute() {
     for rule in [Allocation::Equal, Allocation::Neyman(nop)] {
         let q = design_ssd(strata.clone(), budget, rule, data.tuples());
         assert_eq!(q.total_frequency(), budget);
-        let run = mr_sqe_on_splits(&cluster, &splits, &q, 13);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 13).unwrap();
         assert!(run.answer.satisfies(&q));
         let est = stratified_mean(&run.answer, &sizes, nop);
         errors.push(est.std_error);
@@ -132,7 +132,7 @@ fn estimates_from_mr_sqe_cover_the_truth() {
         .collect();
     let q = design_ssd(strata, 500, Allocation::Proportional, data.tuples());
     let dist = data.distribute(5, 10, Placement::RoundRobin);
-    let run = mr_sqe_on_splits(&Cluster::new(5), &to_input_splits(&dist), &q, 17);
+    let run = try_mr_sqe_on_splits(&Cluster::new(5), &to_input_splits(&dist), &q, 17).unwrap();
     let est = stratified_mean(&run.answer, &sizes, cc);
     let (lo, hi) = est.interval(4.0);
     assert!(

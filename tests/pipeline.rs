@@ -7,8 +7,8 @@ use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::uniform::generate_uniform;
 use stratmr::population::Placement;
 use stratmr::query::{GroupSpec, QueryGenerator};
-use stratmr::sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr::sampling::mqe::mr_mqe_on_splits;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::mqe::try_mr_mqe_on_splits;
 use stratmr::sampling::to_input_splits;
 
 #[test]
@@ -20,8 +20,8 @@ fn small_group_end_to_end() {
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 100, data.tuples(), 17);
 
-    let mqe = mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 5);
-    let cps = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
+    let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 5).unwrap();
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
 
     // every survey gets exactly its requested per-stratum counts, for
     // both algorithms (population is large enough for proportional
@@ -57,7 +57,7 @@ fn medium_group_sharing_statistics() {
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::MEDIUM, 80, data.tuples(), 23);
 
-    let cps = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 9).unwrap();
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 9).unwrap();
     let hist = cps.answer.sharing_histogram(mssd.len());
     assert_eq!(hist.len(), 6);
     let unique: usize = hist.iter().sum();
@@ -80,8 +80,8 @@ fn uniform_dataset_pipeline_works_too() {
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 60, data.tuples(), 31);
 
-    let mqe = mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 2);
-    let cps = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 2).unwrap();
+    let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 2).unwrap();
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 2).unwrap();
     for (i, q) in mssd.queries().iter().enumerate() {
         assert!(cps.answer.answer(i).satisfies(q), "query {i}");
     }
@@ -99,7 +99,7 @@ fn skewed_placement_does_not_change_satisfaction() {
     let cluster = Cluster::new(4);
     let qgen = QueryGenerator::new(schema);
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 50, data.tuples(), 44);
-    let cps = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 3).unwrap();
     for (i, q) in mssd.queries().iter().enumerate() {
         assert!(cps.answer.answer(i).satisfies(q), "query {i} under skew");
     }
@@ -114,8 +114,8 @@ fn ip_solver_end_to_end_on_small_group() {
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 40, data.tuples(), 12);
 
-    let lp = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 6).unwrap();
-    let ip = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::exact(), 6).unwrap();
+    let lp = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 6).unwrap();
+    let ip = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::exact(), 6).unwrap();
     // §6.2.2 ordering: C_LP ≤ C_IP ≤ C_A(ip-run)
     assert!(lp.solver_objective <= ip.solver_objective + 1e-6);
     assert!(ip.solver_objective <= ip.cost + 1e-6);

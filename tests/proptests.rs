@@ -11,9 +11,10 @@ use rand_chacha::ChaCha8Rng;
 use stratmr::mapreduce::Cluster;
 use stratmr::population::{AttrDef, AttrId, Dataset, Individual, Placement, Schema};
 use stratmr::query::{CostModel, Formula, MssdQuery, SsdQuery, StratumConstraint};
-use stratmr::sampling::cps::{mr_cps, CpsConfig};
-use stratmr::sampling::mqe::mr_mqe;
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::mqe::try_mr_mqe_on_splits;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::to_input_splits;
 use stratmr::sampling::unified::{unified_sampler, IntermediateSample};
 
 fn schema() -> Schema {
@@ -67,8 +68,8 @@ proptest! {
     ) {
         let data = population(&values);
         let q = banded_query(&[cut], &[f1, f2]);
-        let dist = data.distribute(machines, machines * 2, Placement::RoundRobin);
-        let run = mr_sqe(&Cluster::new(machines), &dist, &q, seed);
+        let splits = to_input_splits(&data.distribute(machines, machines * 2, Placement::RoundRobin));
+        let run = try_mr_sqe_on_splits(&Cluster::new(machines), &splits, &q, seed).unwrap();
         let sizes: Vec<usize> = q
             .constraints()
             .iter()
@@ -133,10 +134,10 @@ proptest! {
         let penalties: &[(usize, usize)] = if penalty_on { &[(0, 1)] } else { &[] };
         let costs = CostModel::paper_style(2, 4.0, penalties, 10.0);
         let mssd = MssdQuery::new(vec![q1, q2], costs);
-        let dist = data.distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&data.distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
-        let cps = mr_cps(&cluster, &dist, &mssd, CpsConfig::mr_cps(), seed).unwrap();
-        let mqe = mr_mqe(&cluster, &dist, mssd.queries(), seed);
+        let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), seed).unwrap();
+        let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, seed).unwrap();
         prop_assert!(cps.answer.satisfies(&mssd));
         prop_assert!(mqe.answer.satisfies(&mssd));
         prop_assert!(cps.cost <= mqe.answer.cost(mssd.costs()) + 1e-9);
@@ -162,8 +163,8 @@ proptest! {
             Placement::SortedBy(x()),
             Placement::Shuffled(shuffle_seed),
         ] {
-            let dist = data.distribute(machines, machines * 2, placement);
-            let run = mr_sqe(&Cluster::new(machines), &dist, &q, seed);
+            let splits = to_input_splits(&data.distribute(machines, machines * 2, placement));
+            let run = try_mr_sqe_on_splits(&Cluster::new(machines), &splits, &q, seed).unwrap();
             prop_assert!(run.answer.satisfies(&q));
         }
     }

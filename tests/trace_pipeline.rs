@@ -8,8 +8,8 @@ use stratmr::mapreduce::{analysis, Cluster, CostConfig, TraceSink};
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{GroupSpec, QueryGenerator};
-use stratmr::sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr::sampling::mqe::mr_mqe_on_splits;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::mqe::try_mr_mqe_on_splits;
 use stratmr::sampling::to_input_splits;
 
 fn traced_fig7_export() -> (Vec<String>, String) {
@@ -27,8 +27,8 @@ fn traced_fig7_export() -> (Vec<String>, String) {
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 100, data.tuples(), 17);
 
-    mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 5);
-    mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
+    try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 5).unwrap();
+    try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
 
     let names = sink.jobs().into_iter().map(|j| j.name).collect();
     (names, sink.chrome_trace_json())
@@ -69,7 +69,7 @@ fn analysis_summarizes_every_pipeline_job() {
     let cluster = Cluster::new(4).with_trace(sink.clone());
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 100, data.tuples(), 17);
-    mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
+    try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
 
     for job in sink.jobs() {
         let cp = analysis::critical_path(&job);
