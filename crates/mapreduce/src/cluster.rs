@@ -35,7 +35,7 @@ use crate::split::InputSplit;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 use stratmr_telemetry::{Counter, Registry, TraceEvent, TracePhase, TraceSink};
 
@@ -463,7 +463,7 @@ impl Cluster {
             scan_bytes: u64,
             map_us: f64,
             combine_us: f64,
-            combine_wall_us: f64,
+            finish_wall_us: f64,
         }
 
         let map_span = tel.map(|t| t.span("map"));
@@ -477,58 +477,59 @@ impl Cluster {
                     machine: split.home_machine,
                     seed: task_seed,
                 };
+                // fold every record's output into its key's accumulator;
+                // keys are numbered by first sight, which fixes each
+                // combiner's seed (and thus whole runs)
                 let mut emitter = Emitter::new();
+                let mut index: HashMap<J::Key, usize, BuildHasherDefault<FxHasher>> =
+                    HashMap::default();
+                let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
                 let mut scan_bytes = 0u64;
-                let map_clock = Instant::now();
+                let mut out_records = 0u64;
+                let task_clock = Instant::now();
                 for record in &split.records {
                     scan_bytes += job.input_bytes(record);
                     job.map(&ctx, record, &mut emitter);
-                }
-                let map_real_us = map_clock.elapsed().as_secs_f64() * 1e6;
-                let in_records = split.records.len() as u64;
-                let pairs = emitter.into_pairs();
-                let out_records = pairs.len() as u64;
-
-                // group by key, preserving first-emit order so combiner
-                // seeds (and thus whole runs) are deterministic
-                let combine_clock = Instant::now();
-                let mut index: HashMap<J::Key, usize> = HashMap::new();
-                let mut groups: Vec<(J::Key, Vec<J::MapOut>)> = Vec::new();
-                for (k, v) in pairs {
-                    match index.get(&k) {
-                        Some(&g) => groups[g].1.push(v),
-                        None => {
-                            index.insert(k.clone(), groups.len());
-                            groups.push((k, vec![v]));
-                        }
+                    out_records += emitter.len() as u64;
+                    for (k, v) in emitter.drain() {
+                        let g = match index.get(&k) {
+                            Some(&g) => g,
+                            None => {
+                                let g = groups.len();
+                                let kctx = TaskCtx {
+                                    seed: mix_seed(task_seed, g as u64 + 1),
+                                    ..ctx
+                                };
+                                let acc = job.init(&kctx, &k);
+                                index.insert(k.clone(), g);
+                                groups.push((k, acc));
+                                g
+                            }
+                        };
+                        job.observe(&mut groups[g].1, v);
                     }
                 }
-
+                let fold_real_us = task_clock.elapsed().as_secs_f64() * 1e6;
                 let combined: Vec<(J::Key, J::CombOut)> = groups
                     .into_iter()
-                    .enumerate()
-                    .map(|(gi, (k, vs))| {
-                        let cctx = TaskCtx {
-                            seed: mix_seed(task_seed, gi as u64 + 1),
-                            ..ctx
-                        };
-                        let c = job.combine(&cctx, &k, &mut vs.into_iter());
+                    .map(|(k, acc)| {
+                        let c = job.finish(&k, acc);
                         (k, c)
                     })
                     .collect();
-                let combine_real_us = combine_clock.elapsed().as_secs_f64() * 1e6;
+                let task_real_us = task_clock.elapsed().as_secs_f64() * 1e6;
+                let in_records = split.records.len() as u64;
 
-                let mut map_us = costs.task_overhead_us
+                // map and combine work are interleaved, so all measured
+                // CPU time is charged to map; the combiner's simulated
+                // cost is the per-pair model term alone
+                let map_us = costs.task_overhead_us
                     + scan_bytes as f64 * costs.scan_us_per_byte
                     + in_records as f64 * costs.map_cpu_us_per_record
-                    + map_real_us * costs.cpu_slowdown;
+                    + task_real_us * costs.cpu_slowdown;
                 let combine_us = if job.has_combiner() {
                     out_records as f64 * costs.combine_cpu_us_per_record
-                        + combine_real_us * costs.cpu_slowdown
                 } else {
-                    // no combiner: the sort/spill work is part of the
-                    // map-side machinery
-                    map_us += combine_real_us * costs.cpu_slowdown;
                     0.0
                 };
                 if let Some(c) = &map_counters {
@@ -545,7 +546,7 @@ impl Cluster {
                     scan_bytes,
                     map_us,
                     combine_us,
-                    combine_wall_us: combine_real_us,
+                    finish_wall_us: task_real_us - fold_real_us,
                 }
             })
             .collect();
@@ -558,18 +559,18 @@ impl Cluster {
             reduce_tasks: self.reduce_tasks as u64,
             ..JobStats::default()
         };
-        let mut combine_wall_us = 0.0f64;
+        let mut finish_wall_us = 0.0f64;
         for t in &tasks {
             stats.map_input_records += t.in_records;
             stats.map_output_records += t.out_records;
             stats.combine_output_pairs += t.combined.len() as u64;
-            combine_wall_us += t.combine_wall_us;
+            finish_wall_us += t.finish_wall_us;
         }
-        // per-task combine work ran inside the map tasks; report its
-        // aggregated wall time as a sibling phase of the driver's map span
+        // the only combine-only work left is `finish`; report its summed
+        // per-task wall time as a sibling of the job's map span
         if let (Some(t), Some(path)) = (tel, &job_path) {
             if job.has_combiner() {
-                t.observe_span(&format!("{path}/combine"), combine_wall_us * 1e-6);
+                t.observe_span(&format!("{path}/combine"), finish_wall_us * 1e-6);
             }
         }
 
@@ -947,6 +948,50 @@ fn partition_of<K: Hash>(key: &K, parts: usize) -> usize {
     (h.finish() % parts as u64) as usize
 }
 
+/// A small multiply-rotate hasher (the Fx hash of rustc) for the map
+/// task's key index. The index is only ever looked up, never iterated,
+/// so the hash affects speed and nothing else.
+#[derive(Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,6 +1028,7 @@ mod tests {
         type Input = String;
         type Key = String;
         type MapOut = u64;
+        type Acc = u64;
         type CombOut = u64;
         type ReduceOut = u64;
 
@@ -992,13 +1038,16 @@ mod tests {
             }
         }
 
-        fn combine(
-            &self,
-            _ctx: &TaskCtx,
-            _key: &String,
-            values: &mut dyn Iterator<Item = u64>,
-        ) -> u64 {
-            values.sum()
+        fn init(&self, _ctx: &TaskCtx, _key: &String) -> u64 {
+            0
+        }
+
+        fn observe(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+
+        fn finish(&self, _key: &String, acc: u64) -> u64 {
+            acc
         }
 
         fn reduce(&self, _ctx: &TaskCtx, _key: &String, values: Vec<u64>) -> u64 {

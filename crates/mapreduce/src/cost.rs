@@ -40,7 +40,9 @@ pub struct CostConfig {
     /// so simulated times respond to actual algorithmic work (number of
     /// strata matched, sample sizes, …); the multiplier converts this
     /// host's single fast core into the paper's slower EC2 M1-Small
-    /// workers (~1 ECU).
+    /// workers (~1 ECU). A map task's combiner folds its output as it
+    /// is mapped, so the task's whole measured time is charged to its
+    /// map body; combiners are charged the per-record term alone.
     pub cpu_slowdown: f64,
 }
 

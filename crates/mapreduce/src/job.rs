@@ -11,6 +11,11 @@
 //! (`MapOut → CombOut`), because the paper's combiner output
 //! `(S̄, N̄)` — an intermediate sample annotated with the size of the set
 //! it was drawn from — is structurally different from a single tuple.
+//!
+//! The combiner is a per-task *fold*: each map task keeps one
+//! accumulator per key it has emitted, feeds every map output straight
+//! into it as the record is mapped, and finishes the accumulators once
+//! the split is exhausted. Map output pairs are never materialised.
 
 use std::hash::Hash;
 
@@ -27,11 +32,15 @@ pub struct TaskCtx {
     pub task_id: usize,
     /// The machine executing this task.
     pub machine: usize,
-    /// A seed unique to this (job, task, key-group) invocation.
+    /// A seed unique to this (job, task, key) invocation. On the map
+    /// side the `g`-th distinct key a task emits (in first-emit order,
+    /// counting from 0) gets `mix(task seed, g + 1)`.
     pub seed: u64,
 }
 
-/// Collects the key-value pairs emitted by one map task.
+/// Collects the key-value pairs emitted by one `map` call. The engine
+/// drains it into the combiner after every record, so it never holds
+/// more than one record's output.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     pairs: Vec<(K, V)>,
@@ -58,16 +67,20 @@ impl<K, V> Emitter<K, V> {
         self.pairs.is_empty()
     }
 
-    pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
-        self.pairs
+    /// Take the pairs emitted so far, in emit order, leaving the
+    /// emitter empty (and its buffer allocated for the next record).
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (K, V)> {
+        self.pairs.drain(..)
     }
 }
 
 /// A MapReduce job with a combiner.
 ///
-/// `map` is invoked once per input record; `combine` once per
-/// `(map task, key)` with all values that task emitted for the key;
-/// `reduce` once per key with the combined values from every map task.
+/// `map` is invoked once per input record. The combiner is a fold per
+/// `(map task, key)`: `init` runs when the task first emits the key,
+/// `observe` once per value the task emits for it, in emit order, and
+/// `finish` once after the task's last record. `reduce` runs once per
+/// key with the combined values from every map task.
 pub trait CombineJob: Send + Sync {
     /// Input record type.
     type Input: Send + Sync;
@@ -75,6 +88,8 @@ pub trait CombineJob: Send + Sync {
     type Key: Clone + Eq + Hash + Send + Sync;
     /// Map output value.
     type MapOut: Send;
+    /// Combiner state of one key within one map task.
+    type Acc: Send;
     /// Combiner output value (what actually crosses the network).
     type CombOut: Send;
     /// Final per-key result.
@@ -83,16 +98,17 @@ pub trait CombineJob: Send + Sync {
     /// Process one input record, emitting intermediate pairs.
     fn map(&self, ctx: &TaskCtx, record: &Self::Input, out: &mut Emitter<Self::Key, Self::MapOut>);
 
-    /// Map-side partial aggregation of one key's values within one task.
-    ///
-    /// Values arrive as a streaming iterator: a faithful combiner (e.g. a
-    /// reservoir) keeps only O(sample) state regardless of input size.
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &Self::Key,
-        values: &mut dyn Iterator<Item = Self::MapOut>,
-    ) -> Self::CombOut;
+    /// Fresh combiner state for `key`, created when the task first
+    /// emits it; `ctx.seed` is unique to this `(task, key)`.
+    fn init(&self, ctx: &TaskCtx, key: &Self::Key) -> Self::Acc;
+
+    /// Fold one map output value into its key's state. A faithful
+    /// combiner (e.g. a reservoir) keeps only O(sample) state regardless
+    /// of input size.
+    fn observe(&self, acc: &mut Self::Acc, value: Self::MapOut);
+
+    /// Turn a key's final state into the value shipped to the reducer.
+    fn finish(&self, key: &Self::Key, acc: Self::Acc) -> Self::CombOut;
 
     /// Merge one key's combined values from all map tasks.
     fn reduce(&self, ctx: &TaskCtx, key: &Self::Key, values: Vec<Self::CombOut>)
@@ -154,6 +170,7 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
     type Input = J::Input;
     type Key = J::Key;
     type MapOut = J::MapOut;
+    type Acc = Vec<J::MapOut>;
     type CombOut = Vec<J::MapOut>;
     type ReduceOut = J::ReduceOut;
 
@@ -161,13 +178,16 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
         self.0.map(ctx, record, out);
     }
 
-    fn combine(
-        &self,
-        _ctx: &TaskCtx,
-        _key: &Self::Key,
-        values: &mut dyn Iterator<Item = Self::MapOut>,
-    ) -> Self::CombOut {
-        values.collect()
+    fn init(&self, _ctx: &TaskCtx, _key: &Self::Key) -> Self::Acc {
+        Vec::new()
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, value: Self::MapOut) {
+        acc.push(value);
+    }
+
+    fn finish(&self, _key: &Self::Key, acc: Self::Acc) -> Self::CombOut {
+        acc
     }
 
     fn reduce(
@@ -215,7 +235,9 @@ mod tests {
         e.emit(2, "b");
         e.emit(1, "c");
         assert_eq!(e.len(), 3);
-        assert_eq!(e.into_pairs(), vec![(1, "a"), (2, "b"), (1, "c")]);
+        let pairs: Vec<_> = e.drain().collect();
+        assert_eq!(pairs, vec![(1, "a"), (2, "b"), (1, "c")]);
+        assert!(e.is_empty());
     }
 
     #[test]

@@ -32,13 +32,20 @@ impl CombineJob for SumJobCombined {
     type Input = (u8, i64);
     type Key = u8;
     type MapOut = i64;
+    type Acc = i64;
     type CombOut = i64;
     type ReduceOut = i64;
     fn map(&self, _c: &TaskCtx, r: &(u8, i64), out: &mut Emitter<u8, i64>) {
         out.emit(r.0, r.1);
     }
-    fn combine(&self, _c: &TaskCtx, _k: &u8, v: &mut dyn Iterator<Item = i64>) -> i64 {
-        v.sum()
+    fn init(&self, _c: &TaskCtx, _k: &u8) -> i64 {
+        0
+    }
+    fn observe(&self, acc: &mut i64, v: i64) {
+        *acc += v;
+    }
+    fn finish(&self, _k: &u8, acc: i64) -> i64 {
+        acc
     }
     fn reduce(&self, _c: &TaskCtx, _k: &u8, v: Vec<i64>) -> i64 {
         v.into_iter().sum()
@@ -164,6 +171,27 @@ fn phase_spans_cover_the_job() {
     assert_eq!(snap.span_calls("mr.job/reduce"), 2);
     // combine is only reported for jobs that actually have a combiner
     assert_eq!(snap.span_calls("mr.job/combine"), 1);
+}
+
+#[test]
+fn combine_span_fits_inside_its_job() {
+    // enough records per task that folding them is real work; the combine
+    // span holds only the per-task `finish` time, so even summed over
+    // tasks running in parallel it stays inside the job's wall time
+    let registry = Registry::new();
+    let cluster = Cluster::new(4).with_telemetry(registry.clone());
+    let splits = make_splits(records(200_000), 16, 4);
+    for seed in 0..3 {
+        cluster.run_with_combiner(&SumJobCombined, &splits, seed);
+    }
+    let snap = registry.snapshot();
+    assert_eq!(snap.span_calls("mr.job/combine"), 3);
+    let combine = snap.span_wall_secs("mr.job/combine");
+    let job = snap.span_wall_secs("mr.job");
+    assert!(
+        combine <= job,
+        "combine span {combine} s exceeds its parent mr.job {job} s"
+    );
 }
 
 #[test]

@@ -28,6 +28,7 @@ pub mod formula;
 pub mod generator;
 pub mod mssd;
 pub mod parser;
+mod range_table;
 pub mod ssd;
 pub mod survey_set;
 pub mod validity;

@@ -6,7 +6,9 @@
 //! constraints to be disjoint over the dataset.
 
 use crate::formula::Formula;
-use serde::{Deserialize, Serialize};
+use crate::range_table::RangeTable;
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 use stratmr_population::Individual;
 
 /// Index of a stratum constraint within an [`SsdQuery`].
@@ -86,15 +88,22 @@ impl std::fmt::Display for SsdError {
 impl std::error::Error for SsdError {}
 
 /// A stratified sample design query `Q = {s_1, ..., s_m}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as its constraints alone; the compiled range table is
+/// rebuilt on deserialization.
+#[derive(Clone, PartialEq)]
 pub struct SsdQuery {
     constraints: Vec<StratumConstraint>,
+    /// The strata compiled for matching, when they are all conjunctions
+    /// of ranges (see [`crate::range_table`]).
+    table: Option<RangeTable>,
 }
 
 impl SsdQuery {
     /// Build an SSD query from its stratum constraints.
     pub fn new(constraints: Vec<StratumConstraint>) -> Self {
-        Self { constraints }
+        let table = RangeTable::compile(&constraints);
+        Self { constraints, table }
     }
 
     /// The stratum constraints.
@@ -122,13 +131,17 @@ impl SsdQuery {
         self.constraints.iter().map(|s| s.frequency).sum()
     }
 
-    /// The stratum that `t` satisfies, if any.
+    /// The stratum that `t` satisfies, if any: the first in stratum
+    /// order.
     ///
     /// For a *valid* query the strata are disjoint, so the first match is
     /// the only match; this is the hot path of every mapper.
     #[inline]
     pub fn matching_stratum(&self, t: &Individual) -> Option<StratumId> {
-        self.constraints.iter().position(|s| s.matches(t))
+        match &self.table {
+            Some(table) => table.matching(t.values()),
+            None => self.constraints.iter().position(|s| s.matches(t)),
+        }
     }
 
     /// Check pairwise stratum disjointness over a dataset (the validity
@@ -171,6 +184,34 @@ impl SsdQuery {
             }
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for SsdQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SsdQuery")
+            .field("constraints", &self.constraints)
+            .finish()
+    }
+}
+
+impl Serialize for SsdQuery {
+    fn serialize_value(&self) -> Value {
+        Value::Object(vec![(
+            "constraints".to_string(),
+            self.constraints.serialize_value(),
+        )])
+    }
+}
+
+impl Deserialize for SsdQuery {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `SsdQuery`"))?;
+        let constraints = serde::find_field(fields, "constraints")
+            .ok_or_else(|| serde::Error::custom("missing field `constraints` in `SsdQuery`"))?;
+        Ok(Self::new(Vec::deserialize_value(constraints)?))
     }
 }
 

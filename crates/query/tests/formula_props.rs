@@ -1,10 +1,11 @@
 //! Property tests for the formula algebra: random formula trees must
 //! evaluate without panicking, respect Boolean identities, and survive a
-//! display → parse round trip where the syntax allows it.
+//! display → parse round trip where the syntax allows it. SSD stratum
+//! matching must agree with evaluating the strata's formulas in order.
 
 use proptest::prelude::*;
 use stratmr_population::{AttrDef, AttrId, Individual, Schema};
-use stratmr_query::{parse_formula, CmpOp, Formula};
+use stratmr_query::{parse_formula, CmpOp, Formula, SsdQuery, StratumConstraint};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -122,5 +123,57 @@ proptest! {
         let parsed = parse_formula(&text, &s)
             .unwrap_or_else(|e| panic!("cannot re-parse {text:?}: {e}"));
         prop_assert_eq!(parsed.eval(&t), f.eval(&t), "{}", text);
+    }
+}
+
+proptest! {
+    // about 4 in 10 generated queries compile to a range table, and a
+    // compiled `<` or `>` bound is rarer still, so this property needs
+    // more cases than the algebra above to reach each kind of row
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `matching_stratum` is the first stratum whose formula holds,
+    /// whether the query's strata compile to a range table (conjunctions
+    /// of ranges and comparisons) or fall back to formula evaluation.
+    /// Besides a random tuple, every tuple that puts one attribute on a
+    /// constant of the strata or next to it is checked, since off-by-one
+    /// bounds show only there.
+    #[test]
+    fn matching_stratum_is_the_first_satisfied_stratum(
+        strata in prop::collection::vec(formula_strategy(), 1..5),
+        t in tuple_strategy(),
+    ) {
+        let q = SsdQuery::new(
+            strata.into_iter().map(|f| StratumConstraint::new(f, 1)).collect(),
+        );
+        let mut edges = Vec::new();
+        for s in q.constraints() {
+            constants(&s.formula, &mut edges);
+        }
+        let mut probes = vec![t.clone()];
+        for c in edges {
+            for v in [c - 1, c, c + 1] {
+                for attr in 0..t.arity() {
+                    let mut values = t.values().to_vec();
+                    values[attr] = v;
+                    probes.push(Individual::new(0, values, 0));
+                }
+            }
+        }
+        for p in &probes {
+            let want = q.constraints().iter().position(|s| s.formula.eval(p));
+            prop_assert_eq!(q.matching_stratum(p), want, "{:?}", p.values());
+        }
+    }
+}
+
+/// Every constant `f` compares an attribute with.
+fn constants(f: &Formula, out: &mut Vec<i64>) {
+    match f {
+        Formula::Atom(_, _, c) => out.push(*c),
+        Formula::InRange(_, lo, hi) => out.extend([*lo, *hi]),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| constants(g, out)),
+        Formula::Not(g) => constants(g, out),
+        Formula::Const(_) => {}
     }
 }

@@ -22,14 +22,12 @@
 //! (DESIGN.md, substitution 4).
 
 use crate::audit::{escape_json, write_json_f64};
+use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
 use crate::limits::try_stratum_selection_limits;
 use crate::mqe::try_mr_mqe_on_splits;
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
 use crate::sst::{Sst, StratumSelection};
-use crate::unified::{unified_sampler, IntermediateSample};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::unified::IntermediateSample;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -882,6 +880,7 @@ impl CombineJob for CombinedSqeJob<'_> {
     type Input = Individual;
     type Key = usize;
     type MapOut = Individual;
+    type Acc = SampleAcc<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
@@ -892,19 +891,16 @@ impl CombineJob for CombinedSqeJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &usize,
-        values: &mut dyn Iterator<Item = Individual>,
-    ) -> IntermediateSample<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(self.freqs[*key]);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+    fn init(&self, ctx: &TaskCtx, key: &usize) -> SampleAcc<Individual> {
+        SampleAcc::new(ctx, self.freqs[*key])
+    }
+
+    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(&self, _key: &usize, acc: SampleAcc<Individual>) -> IntermediateSample<Individual> {
+        acc.finish()
     }
 
     fn reduce(
@@ -913,9 +909,7 @@ impl CombineJob for CombinedSqeJob<'_> {
         key: &usize,
         values: Vec<IntermediateSample<Individual>>,
     ) -> Vec<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, self.freqs[*key], &mut rng);
+        let (sample, seen) = merge_samples(ctx, values, self.freqs[*key]);
         if let Some(c) = &self.counters {
             c.reduced(*key, sample.len() as u64, seen);
         }
@@ -927,7 +921,7 @@ impl CombineJob for CombinedSqeJob<'_> {
     }
 
     fn comb_bytes(&self, _key: &usize, s: &IntermediateSample<Individual>) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
+        sample_bytes(s)
     }
 }
 
@@ -946,6 +940,7 @@ impl CombineJob for ResidualMqeJob<'_> {
     type Input = Individual;
     type Key = (usize, StratumSelection);
     type MapOut = Individual;
+    type Acc = SampleAcc<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
@@ -967,19 +962,20 @@ impl CombineJob for ResidualMqeJob<'_> {
         }
     }
 
-    fn combine(
+    fn init(&self, ctx: &TaskCtx, key: &(usize, StratumSelection)) -> SampleAcc<Individual> {
+        SampleAcc::new(ctx, self.needed[key])
+    }
+
+    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(
         &self,
-        ctx: &TaskCtx,
-        key: &(usize, StratumSelection),
-        values: &mut dyn Iterator<Item = Individual>,
+        _key: &(usize, StratumSelection),
+        acc: SampleAcc<Individual>,
     ) -> IntermediateSample<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(self.needed[key]);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+        acc.finish()
     }
 
     fn reduce(
@@ -988,9 +984,7 @@ impl CombineJob for ResidualMqeJob<'_> {
         key: &(usize, StratumSelection),
         values: Vec<IntermediateSample<Individual>>,
     ) -> Vec<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, self.needed[key], &mut rng);
+        let (sample, seen) = merge_samples(ctx, values, self.needed[key]);
         if let Some(c) = &self.counters {
             c.reduced(0, sample.len() as u64, seen);
         }
@@ -1006,7 +1000,7 @@ impl CombineJob for ResidualMqeJob<'_> {
         _key: &(usize, StratumSelection),
         s: &IntermediateSample<Individual>,
     ) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
+        sample_bytes(s)
     }
 }
 

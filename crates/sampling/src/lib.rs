@@ -5,6 +5,7 @@
 //! |---|---|
 //! | [`reservoir`] | Algorithm R (+ Vitter's Algorithm X extension), §4.1 |
 //! | [`unified`] | Algorithm 1, the unified sampler, §4.2.2 |
+//! | [`combiner`] | the reservoir combiner and unified-sampler reducer every sampling job shares, §4.2.2 |
 //! | [`naive`] | the combiner-less baseline of Figure 1, §4.2.1 |
 //! | [`sqe`] | **MR-SQE**, Figure 2, §4.2.2 |
 //! | [`mqe`] | **MR-MQE**, §5.1 |
@@ -41,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod combiner;
 pub mod cps;
 pub mod estimate;
 pub mod input;

@@ -40,6 +40,7 @@ impl CombineJob for LimitsJob<'_> {
     type Input = Individual;
     type Key = StratumSelection;
     type MapOut = u64;
+    type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
 
@@ -53,13 +54,16 @@ impl CombineJob for LimitsJob<'_> {
         out.emit(sel, 1);
     }
 
-    fn combine(
-        &self,
-        _ctx: &TaskCtx,
-        _key: &StratumSelection,
-        values: &mut dyn Iterator<Item = u64>,
-    ) -> u64 {
-        values.sum()
+    fn init(&self, _ctx: &TaskCtx, _key: &StratumSelection) -> u64 {
+        0
+    }
+
+    fn observe(&self, acc: &mut u64, n: u64) {
+        *acc += n;
+    }
+
+    fn finish(&self, _key: &StratumSelection, acc: u64) -> u64 {
+        acc
     }
 
     fn reduce(&self, _ctx: &TaskCtx, _key: &StratumSelection, values: Vec<u64>) -> u64 {

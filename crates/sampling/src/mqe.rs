@@ -9,11 +9,9 @@
 //! optimization); the paper uses it as the cost benchmark for MR-CPS and
 //! as CPS's representative first phase.
 
+use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
-use crate::unified::{unified_sampler, IntermediateSample};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::unified::IntermediateSample;
 use std::collections::HashSet;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::Individual;
@@ -80,6 +78,7 @@ impl CombineJob for MqeJob<'_> {
     type Input = Individual;
     type Key = QueryStratum;
     type MapOut = Individual;
+    type Acc = SampleAcc<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
@@ -96,20 +95,20 @@ impl CombineJob for MqeJob<'_> {
         }
     }
 
-    fn combine(
+    fn init(&self, ctx: &TaskCtx, key: &QueryStratum) -> SampleAcc<Individual> {
+        SampleAcc::new(ctx, self.queries[key.0].stratum(key.1).frequency)
+    }
+
+    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(
         &self,
-        ctx: &TaskCtx,
-        key: &QueryStratum,
-        values: &mut dyn Iterator<Item = Individual>,
+        _key: &QueryStratum,
+        acc: SampleAcc<Individual>,
     ) -> IntermediateSample<Individual> {
-        let f = self.queries[key.0].stratum(key.1).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(f);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+        acc.finish()
     }
 
     fn reduce(
@@ -119,9 +118,7 @@ impl CombineJob for MqeJob<'_> {
         values: Vec<IntermediateSample<Individual>>,
     ) -> Vec<Individual> {
         let f = self.queries[key.0].stratum(key.1).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, f, &mut rng);
+        let (sample, seen) = merge_samples(ctx, values, f);
         if let Some(c) = &self.counters {
             c[key.0].reduced(key.1, sample.len() as u64, seen);
         }
@@ -133,7 +130,7 @@ impl CombineJob for MqeJob<'_> {
     }
 
     fn comb_bytes(&self, _key: &QueryStratum, s: &IntermediateSample<Individual>) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
+        sample_bytes(s)
     }
 }
 

@@ -11,11 +11,9 @@
 //! reducer merges the intermediate samples without bias via the unified
 //! sampler (Algorithm 1).
 
+use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
-use crate::unified::{unified_sampler, IntermediateSample};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::unified::IntermediateSample;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
 use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId};
@@ -54,6 +52,7 @@ impl CombineJob for SqeJob<'_> {
     type Input = Individual;
     type Key = StratumId;
     type MapOut = Individual;
+    type Acc = SampleAcc<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
@@ -63,20 +62,20 @@ impl CombineJob for SqeJob<'_> {
         }
     }
 
-    fn combine(
+    fn init(&self, ctx: &TaskCtx, key: &StratumId) -> SampleAcc<Individual> {
+        SampleAcc::new(ctx, self.query.stratum(*key).frequency)
+    }
+
+    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(
         &self,
-        ctx: &TaskCtx,
-        key: &StratumId,
-        values: &mut dyn Iterator<Item = Individual>,
+        _key: &StratumId,
+        acc: SampleAcc<Individual>,
     ) -> IntermediateSample<Individual> {
-        let f = self.query.stratum(*key).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(f);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+        acc.finish()
     }
 
     fn reduce(
@@ -85,10 +84,7 @@ impl CombineJob for SqeJob<'_> {
         key: &StratumId,
         values: Vec<IntermediateSample<Individual>>,
     ) -> Vec<Individual> {
-        let f = self.query.stratum(*key).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, f, &mut rng);
+        let (sample, seen) = merge_samples(ctx, values, self.query.stratum(*key).frequency);
         if let Some(c) = &self.counters {
             c.reduced(*key, sample.len() as u64, seen);
         }
@@ -100,8 +96,7 @@ impl CombineJob for SqeJob<'_> {
     }
 
     fn comb_bytes(&self, _key: &StratumId, s: &IntermediateSample<Individual>) -> u64 {
-        // the intermediate sample's projected tuples plus the (key, N̄) header
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
+        sample_bytes(s)
     }
 }
 

@@ -457,6 +457,12 @@ impl Snapshot {
         self.spans.get(path).map(|s| s.calls).unwrap_or(0)
     }
 
+    /// Summed wall seconds recorded for the span at `path` (0 when
+    /// absent). Host-dependent, like everything under `"host"`.
+    pub fn span_wall_secs(&self, path: &str) -> f64 {
+        self.spans.get(path).map(|s| s.wall_secs).unwrap_or(0.0)
+    }
+
     /// All counter names, in sorted order.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
         self.counters.keys().map(String::as_str)
