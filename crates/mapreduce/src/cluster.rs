@@ -6,7 +6,7 @@
 //! experiments are reproducible on any host (see DESIGN.md,
 //! substitution 1).
 //!
-//! Scheduling model (see [`crate::sched`] internals and DESIGN.md,
+//! Scheduling model (see the crate-private `sched` module and DESIGN.md,
 //! "Fault model & recovery"):
 //! * one map task per input split, preferring the split's home machine
 //!   (data locality); tasks fall back to the earliest-available healthy
@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
-use stratmr_telemetry::{Counter, Registry, TraceEvent, TracePhase, TraceSink};
+use stratmr_telemetry::{Registry, TraceEvent, TracePhase, TraceSink};
 
 /// Record/byte counters and timings of one executed job.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -83,6 +83,12 @@ pub struct JobStats {
     pub wall_secs: f64,
 }
 
+/// Combiner output pairs of one map task, or one shuffle partition.
+type Combined<J> = Vec<(<J as CombineJob>::Key, <J as CombineJob>::CombOut)>;
+
+/// Reduce output pairs, one per key.
+type Reduced<J> = Vec<(<J as CombineJob>::Key, <J as CombineJob>::ReduceOut)>;
+
 /// Result of a job: per-key outputs plus execution statistics.
 #[derive(Debug, Clone)]
 pub struct JobOutput<K, O> {
@@ -93,9 +99,8 @@ pub struct JobOutput<K, O> {
     pub stats: JobStats,
 }
 
-/// Why a job could not complete. Surfaced by [`Cluster::try_run`] and
-/// [`Cluster::try_run_with_combiner`]; the panicking [`Cluster::run`]
-/// variants turn it into a panic message.
+/// Why a job could not complete. Returned by [`Cluster::try_run`] and
+/// [`Cluster::try_run_with_combiner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// A task failed more attempts than the retry budget allows
@@ -295,10 +300,11 @@ impl Cluster {
     }
 
     /// Attach a telemetry registry. Every job run on this cluster then
-    /// emits per-phase spans (`mr.job/{map,combine,shuffle,reduce}`)
-    /// and `mr.*` event counters that independently re-derive the
-    /// [`JobStats`] accounting (see `tests/telemetry.rs` for the
-    /// cross-check). Counters are cumulative across jobs.
+    /// records per-phase spans (`mr.job/{map,combine,shuffle,reduce}`)
+    /// and, once it has finished, publishes its [`JobStats`] as `mr.*`
+    /// counters and `mr.sim.*` histograms. A job that fails adds only
+    /// `mr.jobs`, `mr.jobs.failed` and `mr.<phase>.retries_exhausted`.
+    /// Counters are cumulative across jobs.
     pub fn with_telemetry(mut self, registry: Registry) -> Self {
         self.telemetry = Some(registry);
         self
@@ -360,51 +366,8 @@ impl Cluster {
         &self.costs
     }
 
-    /// Run a combiner-less job.
-    ///
-    /// # Panics
-    /// Panics if the job cannot complete under the configured fault
-    /// model — use [`Cluster::try_run`] to handle [`JobError`].
-    pub fn run<J: Job>(
-        &self,
-        job: &J,
-        splits: &[InputSplit<J::Input>],
-        seed: u64,
-    ) -> JobOutput<J::Key, J::ReduceOut>
-    where
-        J::MapOut: Send + Sync,
-        J::ReduceOut: Send,
-    {
-        match self.try_run(job, splits, seed) {
-            Ok(out) => out,
-            Err(e) => panic!("mapreduce job failed: {e}"),
-        }
-    }
-
-    /// Run a job with a combiner.
-    ///
-    /// # Panics
-    /// Panics if the job cannot complete under the configured fault
-    /// model — use [`Cluster::try_run_with_combiner`] to handle
-    /// [`JobError`].
-    pub fn run_with_combiner<J: CombineJob>(
-        &self,
-        job: &J,
-        splits: &[InputSplit<J::Input>],
-        seed: u64,
-    ) -> JobOutput<J::Key, J::ReduceOut>
-    where
-        J::CombOut: Send + Sync,
-        J::ReduceOut: Send,
-    {
-        match self.try_run_with_combiner(job, splits, seed) {
-            Ok(out) => out,
-            Err(e) => panic!("mapreduce job failed: {e}"),
-        }
-    }
-
     /// Run a combiner-less job, surfacing scheduling failures as
-    /// [`JobError`] instead of panicking.
+    /// [`JobError`].
     pub fn try_run<J: Job>(
         &self,
         job: &J,
@@ -419,7 +382,8 @@ impl Cluster {
     }
 
     /// Run a job with a combiner, surfacing scheduling failures as
-    /// [`JobError`] instead of panicking.
+    /// [`JobError`]. The job's [`JobStats`], trace events and `mr.*`
+    /// counters are all read from one record of the finished job.
     pub fn try_run_with_combiner<J: CombineJob>(
         &self,
         job: &J,
@@ -431,151 +395,49 @@ impl Cluster {
         J::ReduceOut: Send,
     {
         let start = Instant::now();
-        let costs = &self.costs;
-
-        // telemetry handles are resolved once up front so the parallel
-        // sections below only touch lock-free atomics
         let tel = self.telemetry.as_ref();
         let job_span = tel.map(|t| t.span("mr.job"));
-        let job_path = job_span.as_ref().map(|s| s.path().to_string());
         if let Some(t) = tel {
             t.counter("mr.jobs").inc();
         }
-        struct MapCounters {
-            tasks: Counter,
-            in_records: Counter,
-            out_records: Counter,
-            comb_pairs: Counter,
+        let (results, record) = self
+            .execute(job, splits, seed, job_span.as_ref().map(|s| s.path()))
+            .map_err(|e| self.job_failed(e))?;
+        let mut stats = record.stats(&self.costs);
+        stats.wall_secs = start.elapsed().as_secs_f64();
+        if let Some(sink) = &self.trace {
+            sink.record_job(
+                self.job_name.as_deref().unwrap_or("job"),
+                self.costs.job_overhead_us,
+                stats.sim.makespan_us,
+                self.machines as u64,
+                record.trace_events(job.has_combiner(), &self.costs),
+            );
         }
-        let map_counters = tel.map(|t| MapCounters {
-            tasks: t.counter("mr.map.tasks"),
-            in_records: t.counter("mr.map.input_records"),
-            out_records: t.counter("mr.map.output_records"),
-            comb_pairs: t.counter("mr.combine.output_pairs"),
-        });
-
-        // ---- map + combine phase: one task per split -------------------
-        struct MapTaskOut<K, C> {
-            machine: usize,
-            combined: Vec<(K, C)>,
-            in_records: u64,
-            out_records: u64,
-            scan_bytes: u64,
-            map_us: f64,
-            combine_us: f64,
-            finish_wall_us: f64,
+        if let Some(t) = tel {
+            publish(t, &stats);
         }
+        Ok(JobOutput { results, stats })
+    }
 
-        let map_span = tel.map(|t| t.span("map"));
-        let mut tasks: Vec<MapTaskOut<J::Key, J::CombOut>> = splits
-            .par_iter()
-            .map(|split| {
-                let task_seed = mix_seed(seed, split.id as u64);
-                let ctx = TaskCtx {
-                    job_seed: seed,
-                    task_id: split.id,
-                    machine: split.home_machine,
-                    seed: task_seed,
-                };
-                // fold every record's output into its key's accumulator;
-                // keys are numbered by first sight, which fixes each
-                // combiner's seed (and thus whole runs)
-                let mut emitter = Emitter::new();
-                let mut index: HashMap<J::Key, usize, BuildHasherDefault<FxHasher>> =
-                    HashMap::default();
-                let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
-                let mut scan_bytes = 0u64;
-                let mut out_records = 0u64;
-                let task_clock = Instant::now();
-                for record in &split.records {
-                    scan_bytes += job.input_bytes(record);
-                    job.map(&ctx, record, &mut emitter);
-                    out_records += emitter.len() as u64;
-                    for (k, v) in emitter.drain() {
-                        let g = match index.get(&k) {
-                            Some(&g) => g,
-                            None => {
-                                let g = groups.len();
-                                let kctx = TaskCtx {
-                                    seed: mix_seed(task_seed, g as u64 + 1),
-                                    ..ctx
-                                };
-                                let acc = job.init(&kctx, &k);
-                                index.insert(k.clone(), g);
-                                groups.push((k, acc));
-                                g
-                            }
-                        };
-                        job.observe(&mut groups[g].1, v);
-                    }
-                }
-                let fold_real_us = task_clock.elapsed().as_secs_f64() * 1e6;
-                let combined: Vec<(J::Key, J::CombOut)> = groups
-                    .into_iter()
-                    .map(|(k, acc)| {
-                        let c = job.finish(&k, acc);
-                        (k, c)
-                    })
-                    .collect();
-                let task_real_us = task_clock.elapsed().as_secs_f64() * 1e6;
-                let in_records = split.records.len() as u64;
+    /// Run the phases of one job and replay them on the simulated
+    /// machines. Outputs are computed before the schedule is replayed, so
+    /// faults can only move time around.
+    fn execute<J: CombineJob>(
+        &self,
+        job: &J,
+        splits: &[InputSplit<J::Input>],
+        seed: u64,
+        job_path: Option<&str>,
+    ) -> Result<(Reduced<J>, JobRecord), JobError>
+    where
+        J::CombOut: Send + Sync,
+        J::ReduceOut: Send,
+    {
+        let costs = &self.costs;
+        let (map, outputs) = self.map_phase(job, splits, seed, job_path);
 
-                // map and combine work are interleaved, so all measured
-                // CPU time is charged to map; the combiner's simulated
-                // cost is the per-pair model term alone
-                let map_us = costs.task_overhead_us
-                    + scan_bytes as f64 * costs.scan_us_per_byte
-                    + in_records as f64 * costs.map_cpu_us_per_record
-                    + task_real_us * costs.cpu_slowdown;
-                let combine_us = if job.has_combiner() {
-                    out_records as f64 * costs.combine_cpu_us_per_record
-                } else {
-                    0.0
-                };
-                if let Some(c) = &map_counters {
-                    c.tasks.inc();
-                    c.in_records.add(in_records);
-                    c.out_records.add(out_records);
-                    c.comb_pairs.add(combined.len() as u64);
-                }
-                MapTaskOut {
-                    machine: split.home_machine,
-                    combined,
-                    in_records,
-                    out_records,
-                    scan_bytes,
-                    map_us,
-                    combine_us,
-                    finish_wall_us: task_real_us - fold_real_us,
-                }
-            })
-            .collect();
-        if let Some(s) = map_span {
-            s.close();
-        }
-
-        let mut stats = JobStats {
-            map_tasks: splits.len() as u64,
-            reduce_tasks: self.reduce_tasks as u64,
-            ..JobStats::default()
-        };
-        let mut finish_wall_us = 0.0f64;
-        for t in &tasks {
-            stats.map_input_records += t.in_records;
-            stats.map_output_records += t.out_records;
-            stats.combine_output_pairs += t.combined.len() as u64;
-            finish_wall_us += t.finish_wall_us;
-        }
-        // the only combine-only work left is `finish`; report its summed
-        // per-task wall time as a sibling of the job's map span
-        if let (Some(t), Some(path)) = (tel, &job_path) {
-            if job.has_combiner() {
-                t.observe_span(&format!("{path}/combine"), finish_wall_us * 1e-6);
-            }
-        }
-
-        // ---- replay the map schedule (outputs are already computed,
-        // so faults can only move time around) ---------------------------
+        // ---- replay the map schedule ---------------------------------
         let knobs = sched::Knobs {
             base_fail_prob: self.failure_prob,
             task_overhead_us: costs.task_overhead_us,
@@ -584,207 +446,127 @@ impl Cluster {
             blacklist_after: self.blacklist_after,
             speculation_threshold: self.speculation_threshold,
         };
-        let mut machines = sched::MachineState::build(
-            &self.speeds,
-            self.fault_plan.as_ref(),
-            costs.job_overhead_us,
-        );
-        let map_sched: Vec<sched::SchedTask> = tasks
-            .iter()
-            .map(|t| sched::SchedTask {
-                body_us: t.map_us,
-                tail_us: t.combine_us,
-                home: t.machine,
-            })
-            .collect();
-        let mut map_run = sched::PhaseRun::new(
-            &knobs,
-            &map_sched,
-            "map",
-            0,
-            seed,
-            costs.job_overhead_us,
-            true,
-        );
-        map_run
-            .drain(&mut machines)
-            .map_err(|e| self.job_failed(e))?;
+        // the simulated job starts once its fixed overhead has passed
+        let t0 = costs.job_overhead_us;
+        let mut machines = sched::MachineState::build(&self.speeds, self.fault_plan.as_ref(), t0);
+        let map_sched = map.iter().map(|t| t.sched).collect();
+        let mut map_run = sched::PhaseRun::new(knobs, map_sched, "map", 0, seed, t0, true);
+        map_run.drain(&mut machines)?;
 
-        // ---- shuffle: hash-partition combiner outputs ------------------
-        let shuffle_span = tel.map(|t| t.span("shuffle"));
-        let shuffle_bytes_counter = tel.map(|t| t.counter("mr.shuffle.bytes"));
-        let mut partitions: Vec<Vec<(J::Key, J::CombOut)>> =
-            (0..self.reduce_tasks).map(|_| Vec::new()).collect();
-        let mut partition_bytes = vec![0u64; self.reduce_tasks];
-        for task in &mut tasks {
-            for (k, c) in task.combined.drain(..) {
-                let p = partition_of(&k, self.reduce_tasks);
-                let b = job.comb_bytes(&k, &c);
-                partition_bytes[p] += b;
-                stats.shuffle_bytes += b;
-                if let Some(c) = &shuffle_bytes_counter {
-                    c.add(b);
-                }
-                partitions[p].push((k, c));
-            }
-        }
-        if let Some(s) = shuffle_span {
-            s.close();
-        }
-        stats.sim.shuffle_us = stats.shuffle_bytes as f64 * costs.network_us_per_byte;
+        let (partitions, partition_bytes) = self.shuffle(job, outputs);
+        let partition_records = partitions.iter().map(|p| p.len() as u64).collect();
         let shuffle_makespan = partition_bytes
             .iter()
             .map(|&b| b as f64 * costs.network_us_per_byte)
             .fold(0.0f64, f64::max);
-
         // the map phase is a barrier: every shuffle transfer starts once
         // the last map task has finished. Nodes crashing before their
         // outputs cross the network lose them — re-execute the affected
         // map tasks until the barrier is stable.
-        loop {
-            let horizon = map_run.barrier() + shuffle_makespan;
-            if !map_run
-                .reexecute_lost(horizon, &mut machines)
-                .map_err(|e| self.job_failed(e))?
-            {
-                break;
-            }
-        }
-        let map_barrier_us = map_run.barrier();
+        while map_run.reexecute_lost(map_run.barrier() + shuffle_makespan, &mut machines)? {}
 
-        // ---- map accounting + trace from the scheduled attempts --------
-        let map_retry_counter = tel.map(|t| t.counter("mr.map.task_retries"));
-        let tracing = self.trace.is_some();
-        let mut trace_events: Vec<TraceEvent> = Vec::new();
-        stats.map_task_retries = map_run.retries;
-        stats.map_task_reexecutions = map_run.reexecutions;
-        if let Some(c) = &map_retry_counter {
-            c.add(map_run.retries);
-        }
-        let mut last_success = vec![usize::MAX; tasks.len()];
-        for (i, a) in map_run.attempts.iter().enumerate() {
-            if a.outcome == sched::Outcome::Success {
-                last_success[a.task] = i;
-            }
-        }
-        for (i, a) in map_run.attempts.iter().enumerate() {
-            let t = &tasks[a.task];
-            if a.outcome == sched::Outcome::Success {
-                stats.sim.map_us += t.map_us;
-                stats.sim.combine_us += t.combine_us;
-                if last_success[a.task] != i {
-                    // a crash lost this execution's outputs later
-                    stats.wasted_us += t.map_us + t.combine_us;
-                }
-            } else {
-                stats.sim.map_us += a.nominal_us;
-                stats.wasted_us += a.nominal_us;
-            }
-            if tracing {
-                let speed = machines[a.machine].speed;
-                if a.outcome == sched::Outcome::Success {
-                    let body_dur = t.map_us * speed;
-                    trace_events.push(TraceEvent {
-                        phase: TracePhase::Map,
-                        task: a.task as u64,
-                        machine: a.machine as u64,
-                        partition: None,
-                        attempt: a.attempt,
-                        failed: false,
-                        speculative: a.speculative,
-                        start_us: a.start_us,
-                        dur_us: body_dur,
-                        records: t.in_records,
-                        bytes: t.scan_bytes,
-                    });
-                    if job.has_combiner() {
-                        trace_events.push(TraceEvent {
-                            phase: TracePhase::Combine,
-                            task: a.task as u64,
-                            machine: a.machine as u64,
-                            partition: None,
-                            attempt: a.attempt,
-                            failed: false,
-                            speculative: a.speculative,
-                            start_us: a.start_us + body_dur,
-                            // subtract so the combine ends exactly where
-                            // the scheduled attempt does
-                            dur_us: a.dur_us - body_dur,
-                            records: t.out_records,
-                            bytes: 0,
-                        });
-                    }
-                } else {
-                    trace_events.push(TraceEvent {
-                        phase: TracePhase::Map,
-                        task: a.task as u64,
-                        machine: a.machine as u64,
-                        partition: None,
-                        attempt: a.attempt,
-                        failed: true,
-                        speculative: a.speculative,
-                        start_us: a.start_us,
-                        dur_us: a.dur_us,
-                        records: 0,
-                        bytes: 0,
-                    });
-                }
-            }
-        }
-        if tracing {
-            for (p, pairs) in partitions.iter().enumerate() {
-                trace_events.push(TraceEvent {
-                    phase: TracePhase::Shuffle,
-                    task: p as u64,
-                    machine: (p % self.machines) as u64,
-                    partition: Some(p as u64),
-                    attempt: 0,
-                    failed: false,
-                    speculative: false,
-                    start_us: map_barrier_us,
-                    dur_us: partition_bytes[p] as f64 * costs.network_us_per_byte,
-                    records: pairs.len() as u64,
-                    bytes: partition_bytes[p],
-                });
-            }
-        }
+        let (reduce, results) = self.reduce_phase(job, partitions, seed);
 
-        // ---- reduce phase: one task per partition ----------------------
-        struct ReduceCounters {
-            tasks: Counter,
-            input_values: Counter,
-            distinct_keys: Counter,
+        // ---- replay the reduce schedule -------------------------------
+        // the shuffle is a barrier too: reduce tasks start once the
+        // largest partition has finished transferring. Reduce outputs are
+        // durable (HDFS-style), so a later crash never re-runs them.
+        let reduce_start = map_run.barrier() + shuffle_makespan;
+        let reduce_sched = reduce.iter().map(|t| t.sched).collect();
+        let mut reduce_run =
+            sched::PhaseRun::new(knobs, reduce_sched, "reduce", 1, seed, reduce_start, false);
+        reduce_run.drain(&mut machines)?;
+
+        let record = JobRecord {
+            map,
+            reduce,
+            map_run,
+            reduce_run,
+            partition_bytes,
+            partition_records,
+            machines,
+        };
+        Ok((results, record))
+    }
+
+    /// Map and fold every split, one parallel task per split, and report
+    /// the summed `finish` time as the job's `combine` span.
+    fn map_phase<J: CombineJob>(
+        &self,
+        job: &J,
+        splits: &[InputSplit<J::Input>],
+        seed: u64,
+        job_path: Option<&str>,
+    ) -> (Vec<MapTask>, Vec<Combined<J>>)
+    where
+        J::CombOut: Send + Sync,
+    {
+        let span = self.telemetry.as_ref().map(|t| t.span("map"));
+        let tasks: Vec<(MapTask, Combined<J>)> = splits
+            .par_iter()
+            .map(|split| map_task(job, split, seed, &self.costs))
+            .collect();
+        drop(span);
+        let (map, outputs): (Vec<MapTask>, Vec<_>) = tasks.into_iter().unzip();
+        // the only combine-only work left is `finish`; report its summed
+        // per-task wall time as a sibling of the job's map span
+        if let (Some(t), Some(path)) = (&self.telemetry, job_path) {
+            if job.has_combiner() {
+                let finish_wall_us = map.iter().fold(0.0, |sum, t| sum + t.finish_wall_us);
+                t.observe_span(&format!("{path}/combine"), finish_wall_us * 1e-6);
+            }
         }
-        let reduce_counters = tel.map(|t| ReduceCounters {
-            tasks: t.counter("mr.reduce.tasks"),
-            input_values: t.counter("mr.reduce.input_values"),
-            distinct_keys: t.counter("mr.distinct_keys"),
-        });
-        let reduce_span = tel.map(|t| t.span("reduce"));
-        // (machine, per-key outputs, values consumed, simulated µs)
-        type ReduceTaskOut<K, O> = (usize, Vec<(K, O)>, u64, f64);
-        let reduce_outs: Vec<ReduceTaskOut<J::Key, J::ReduceOut>> = partitions
+        (map, outputs)
+    }
+
+    /// Hash-partition the combiner outputs of every map task, in task
+    /// order. Returns the partitions and their simulated wire bytes.
+    fn shuffle<J: CombineJob>(
+        &self,
+        job: &J,
+        outputs: Vec<Combined<J>>,
+    ) -> (Vec<Combined<J>>, Vec<u64>) {
+        let _span = self.telemetry.as_ref().map(|t| t.span("shuffle"));
+        let mut partitions: Vec<Combined<J>> = (0..self.reduce_tasks).map(|_| Vec::new()).collect();
+        let mut bytes = vec![0u64; self.reduce_tasks];
+        for (k, c) in outputs.into_iter().flatten() {
+            let p = partition_of(&k, self.reduce_tasks);
+            bytes[p] += job.comb_bytes(&k, &c);
+            partitions[p].push((k, c));
+        }
+        (partitions, bytes)
+    }
+
+    /// Reduce every partition, one parallel task per partition. Keys are
+    /// grouped in arrival order, and the `gi`-th key of partition `p`
+    /// gets `mix(partition seed, gi)`. Results come back in
+    /// (partition, first-arrival) order.
+    fn reduce_phase<J: CombineJob>(
+        &self,
+        job: &J,
+        partitions: Vec<Combined<J>>,
+        seed: u64,
+    ) -> (Vec<ReduceTask>, Reduced<J>)
+    where
+        J::CombOut: Send + Sync,
+        J::ReduceOut: Send,
+    {
+        let _span = self.telemetry.as_ref().map(|t| t.span("reduce"));
+        let costs = &self.costs;
+        let tasks: Vec<(ReduceTask, Reduced<J>)> = partitions
             .into_par_iter()
             .enumerate()
             .map(|(p, pairs)| {
                 let machine = p % self.machines;
-                let reduce_clock = Instant::now();
-                // group by key, preserving arrival order
-                let mut index: HashMap<J::Key, usize> = HashMap::new();
-                let mut groups: Vec<(J::Key, Vec<J::CombOut>)> = Vec::new();
-                let mut n_values = 0u64;
+                let clock = Instant::now();
+                let in_values = pairs.len() as u64;
+                let mut groups = FirstSight::new();
                 for (k, c) in pairs {
-                    n_values += 1;
-                    match index.get(&k) {
-                        Some(&g) => groups[g].1.push(c),
-                        None => {
-                            index.insert(k.clone(), groups.len());
-                            groups.push((k, vec![c]));
-                        }
-                    }
+                    groups.entry(k, |_, _| Vec::new()).push(c);
                 }
                 let base_seed = mix_seed(seed, 0x5ED0_C000_0000_0000 | p as u64);
-                let results: Vec<(J::Key, J::ReduceOut)> = groups
+                let results: Reduced<J> = groups
+                    .groups
                     .into_iter()
                     .enumerate()
                     .map(|(gi, (k, cs))| {
@@ -798,133 +580,22 @@ impl Cluster {
                         (k, o)
                     })
                     .collect();
-                let us = costs.task_overhead_us
-                    + n_values as f64 * costs.reduce_cpu_us_per_record
-                    + reduce_clock.elapsed().as_secs_f64() * 1e6 * costs.cpu_slowdown;
-                if let Some(c) = &reduce_counters {
-                    c.tasks.inc();
-                    c.input_values.add(n_values);
-                    c.distinct_keys.add(results.len() as u64);
-                }
-                (machine, results, n_values, us)
+                let body_us = costs.task_overhead_us
+                    + in_values as f64 * costs.reduce_cpu_us_per_record
+                    + clock.elapsed().as_secs_f64() * 1e6 * costs.cpu_slowdown;
+                let task = ReduceTask {
+                    sched: sched::SchedTask {
+                        body_us,
+                        tail_us: 0.0,
+                        home: machine,
+                    },
+                    keys: results.len() as u64,
+                };
+                (task, results)
             })
             .collect();
-        if let Some(s) = reduce_span {
-            s.close();
-        }
-
-        // ---- replay the reduce schedule --------------------------------
-        // the shuffle is a barrier too: reduce tasks start once the
-        // largest partition has finished transferring. Reduce outputs are
-        // durable (HDFS-style), so a later crash never re-runs them.
-        let reduce_start = map_barrier_us + shuffle_makespan;
-        let reduce_sched: Vec<sched::SchedTask> = reduce_outs
-            .iter()
-            .map(|(machine, _, _, us)| sched::SchedTask {
-                body_us: *us,
-                tail_us: 0.0,
-                home: *machine,
-            })
-            .collect();
-        let mut reduce_run = sched::PhaseRun::new(
-            &knobs,
-            &reduce_sched,
-            "reduce",
-            1,
-            seed,
-            reduce_start,
-            false,
-        );
-        reduce_run
-            .drain(&mut machines)
-            .map_err(|e| self.job_failed(e))?;
-
-        let reduce_retry_counter = tel.map(|t| t.counter("mr.reduce.task_retries"));
-        stats.reduce_task_retries = reduce_run.retries;
-        if let Some(c) = &reduce_retry_counter {
-            c.add(reduce_run.retries);
-        }
-        for a in &reduce_run.attempts {
-            let (_, _, n_values, us) = &reduce_outs[a.task];
-            if a.outcome == sched::Outcome::Success {
-                stats.sim.reduce_us += us;
-            } else {
-                stats.sim.reduce_us += a.nominal_us;
-                stats.wasted_us += a.nominal_us;
-            }
-            if tracing {
-                let failed = a.outcome != sched::Outcome::Success;
-                trace_events.push(TraceEvent {
-                    phase: TracePhase::Reduce,
-                    task: a.task as u64,
-                    machine: a.machine as u64,
-                    partition: Some(a.task as u64),
-                    attempt: a.attempt,
-                    failed,
-                    speculative: a.speculative,
-                    start_us: a.start_us,
-                    dur_us: a.dur_us,
-                    records: if failed { 0 } else { *n_values },
-                    bytes: if failed { 0 } else { partition_bytes[a.task] },
-                });
-            }
-        }
-
-        let mut results = Vec::new();
-        for (_, outs, n_values, _) in reduce_outs.into_iter() {
-            stats.reduce_input_values += n_values;
-            stats.distinct_keys += outs.len() as u64;
-            results.extend(outs);
-        }
-
-        stats.sim.makespan_us = reduce_run.barrier();
-        stats.speculative_attempts = map_run.spec_attempts + reduce_run.spec_attempts;
-        stats.speculation_wins = map_run.spec_wins + reduce_run.spec_wins;
-        stats.nodes_crashed = machines
-            .iter()
-            .filter(|s| s.dead || s.crash_at < stats.sim.makespan_us)
-            .count() as u64;
-        stats.nodes_blacklisted = machines.iter().filter(|s| s.blacklisted).count() as u64;
-        stats.wall_secs = start.elapsed().as_secs_f64();
-
-        if let Some(sink) = &self.trace {
-            // sorted-stream determinism contract: (phase, machine,
-            // task, attempt) — a total order because the key is unique
-            // per event
-            trace_events.sort_unstable_by_key(|e| (e.phase, e.machine, e.task, e.attempt));
-            sink.record_job(
-                self.job_name.as_deref().unwrap_or("job"),
-                costs.job_overhead_us,
-                stats.sim.makespan_us,
-                self.machines as u64,
-                trace_events,
-            );
-        }
-
-        // per-job simulated-time distributions (integer µs, so the
-        // aggregate is independent of thread interleaving)
-        if let Some(t) = tel {
-            t.record("mr.sim.map_us", stats.sim.map_us.round() as u64);
-            t.record("mr.sim.combine_us", stats.sim.combine_us.round() as u64);
-            t.record("mr.sim.shuffle_us", stats.sim.shuffle_us.round() as u64);
-            t.record("mr.sim.reduce_us", stats.sim.reduce_us.round() as u64);
-            t.record("mr.sim.makespan_us", stats.sim.makespan_us.round() as u64);
-            // recovery counters exist only when recovery happened, so
-            // fault-free telemetry snapshots keep their legacy shape
-            for (name, v) in [
-                ("mr.map.task_reexecutions", stats.map_task_reexecutions),
-                ("mr.spec.attempts", stats.speculative_attempts),
-                ("mr.spec.wins", stats.speculation_wins),
-                ("mr.nodes.crashed", stats.nodes_crashed),
-                ("mr.nodes.blacklisted", stats.nodes_blacklisted),
-            ] {
-                if v > 0 {
-                    t.counter(name).add(v);
-                }
-            }
-        }
-
-        Ok(JobOutput { results, stats })
+        let (reduce, results): (Vec<ReduceTask>, Vec<_>) = tasks.into_iter().unzip();
+        (reduce, results.into_iter().flatten().collect())
     }
 
     /// Count a scheduling failure on the telemetry registry and pass the
@@ -940,6 +611,289 @@ impl Cluster {
     }
 }
 
+/// One map task: map every record of `split` and fold each emitted pair
+/// into its key's accumulator. Keys are numbered by first sight, which
+/// fixes each combiner's seed (and thus whole runs).
+fn map_task<J: CombineJob>(
+    job: &J,
+    split: &InputSplit<J::Input>,
+    seed: u64,
+    costs: &CostConfig,
+) -> (MapTask, Combined<J>) {
+    let task_seed = mix_seed(seed, split.id as u64);
+    let ctx = TaskCtx {
+        job_seed: seed,
+        task_id: split.id,
+        machine: split.home_machine,
+        seed: task_seed,
+    };
+    let mut emitter = Emitter::new();
+    let mut groups = FirstSight::new();
+    let mut scan_bytes = 0u64;
+    let mut out_records = 0u64;
+    let clock = Instant::now();
+    for record in &split.records {
+        scan_bytes += job.input_bytes(record);
+        job.map(&ctx, record, &mut emitter);
+        out_records += emitter.len() as u64;
+        for (k, v) in emitter.drain() {
+            let acc = groups.entry(k, |g, k| {
+                let seed = mix_seed(task_seed, g as u64 + 1);
+                job.init(&TaskCtx { seed, ..ctx }, k)
+            });
+            job.observe(acc, v);
+        }
+    }
+    let fold_us = clock.elapsed().as_secs_f64() * 1e6;
+    let combined: Combined<J> = groups
+        .groups
+        .into_iter()
+        .map(|(k, acc)| {
+            let c = job.finish(&k, acc);
+            (k, c)
+        })
+        .collect();
+    let real_us = clock.elapsed().as_secs_f64() * 1e6;
+    let in_records = split.records.len() as u64;
+
+    // map and combine work are interleaved, so all measured CPU time is
+    // charged to map; the combiner's simulated cost is the per-pair
+    // model term alone
+    let sched = sched::SchedTask {
+        body_us: costs.task_overhead_us
+            + scan_bytes as f64 * costs.scan_us_per_byte
+            + in_records as f64 * costs.map_cpu_us_per_record
+            + real_us * costs.cpu_slowdown,
+        tail_us: if job.has_combiner() {
+            out_records as f64 * costs.combine_cpu_us_per_record
+        } else {
+            0.0
+        },
+        home: split.home_machine,
+    };
+    let task = MapTask {
+        sched,
+        in_records,
+        out_records,
+        scan_bytes,
+        finish_wall_us: real_us - fold_us,
+    };
+    (task, combined)
+}
+
+/// What one map task did: its simulated map (body) and combine (tail)
+/// work on its home machine, and its record counts.
+struct MapTask {
+    sched: sched::SchedTask,
+    in_records: u64,
+    out_records: u64,
+    scan_bytes: u64,
+    /// Measured wall µs of the accumulators' `finish` calls.
+    finish_wall_us: f64,
+}
+
+/// What one reduce task (one partition) did: its simulated work and the
+/// distinct keys it reduced.
+struct ReduceTask {
+    sched: sched::SchedTask,
+    keys: u64,
+}
+
+/// The one record of a finished job: the task facts, the scheduled
+/// attempts of both phases, the shuffle's partition sizes and the
+/// machines' final state.
+struct JobRecord {
+    map: Vec<MapTask>,
+    reduce: Vec<ReduceTask>,
+    map_run: sched::PhaseRun,
+    reduce_run: sched::PhaseRun,
+    partition_bytes: Vec<u64>,
+    /// Combiner pairs per partition: what its reduce task consumes.
+    partition_records: Vec<u64>,
+    machines: Vec<sched::MachineState>,
+}
+
+impl JobRecord {
+    /// The job's statistics, with `wall_secs` left at zero.
+    fn stats(&self, costs: &CostConfig) -> JobStats {
+        let (map_run, reduce_run) = (&self.map_run, &self.reduce_run);
+        let mut s = JobStats {
+            map_tasks: self.map.len() as u64,
+            reduce_tasks: self.reduce.len() as u64,
+            map_task_retries: map_run.retries,
+            reduce_task_retries: reduce_run.retries,
+            map_task_reexecutions: map_run.reexecutions,
+            speculative_attempts: map_run.spec_attempts + reduce_run.spec_attempts,
+            speculation_wins: map_run.spec_wins + reduce_run.spec_wins,
+            combine_output_pairs: self.partition_records.iter().sum(),
+            shuffle_bytes: self.partition_bytes.iter().sum(),
+            reduce_input_values: self.partition_records.iter().sum(),
+            distinct_keys: self.reduce.iter().map(|t| t.keys).sum(),
+            ..JobStats::default()
+        };
+        for t in &self.map {
+            s.map_input_records += t.in_records;
+            s.map_output_records += t.out_records;
+        }
+        // a successful attempt is charged its task's work, any other the
+        // work it consumed; a success whose outputs a crash later lost
+        // (not its task's last success) is wasted
+        let mut last_success = vec![usize::MAX; self.map.len()];
+        for (i, a) in map_run.attempts.iter().enumerate() {
+            if a.outcome == sched::Outcome::Success {
+                last_success[a.task] = i;
+            }
+        }
+        for (i, a) in map_run.attempts.iter().enumerate() {
+            let t = &self.map[a.task].sched;
+            if a.outcome == sched::Outcome::Success {
+                s.sim.map_us += t.body_us;
+                s.sim.combine_us += t.tail_us;
+                if last_success[a.task] != i {
+                    s.wasted_us += t.body_us + t.tail_us;
+                }
+            } else {
+                s.sim.map_us += a.nominal_us;
+                s.wasted_us += a.nominal_us;
+            }
+        }
+        for a in &reduce_run.attempts {
+            if a.outcome == sched::Outcome::Success {
+                s.sim.reduce_us += self.reduce[a.task].sched.body_us;
+            } else {
+                s.sim.reduce_us += a.nominal_us;
+                s.wasted_us += a.nominal_us;
+            }
+        }
+        s.sim.shuffle_us = s.shuffle_bytes as f64 * costs.network_us_per_byte;
+        s.sim.makespan_us = reduce_run.barrier();
+        s.nodes_crashed = self
+            .machines
+            .iter()
+            .filter(|m| m.dead || m.crash_at < s.sim.makespan_us)
+            .count() as u64;
+        s.nodes_blacklisted = self.machines.iter().filter(|m| m.blacklisted).count() as u64;
+        s
+    }
+
+    /// The job's trace: one event per scheduled attempt (a successful
+    /// map attempt of a combining job splits into its map body and
+    /// combine tail) and one shuffle transfer per partition, sorted by
+    /// (phase, machine, task, attempt), which is unique per event.
+    fn trace_events(&self, has_combiner: bool, costs: &CostConfig) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        for a in &self.map_run.attempts {
+            if a.outcome != sched::Outcome::Success {
+                events.push(event(TracePhase::Map, a));
+                continue;
+            }
+            let t = &self.map[a.task];
+            let body_us = t.sched.body_us * self.machines[a.machine].speed;
+            events.push(TraceEvent {
+                dur_us: body_us,
+                records: t.in_records,
+                bytes: t.scan_bytes,
+                ..event(TracePhase::Map, a)
+            });
+            if has_combiner {
+                events.push(TraceEvent {
+                    start_us: a.start_us + body_us,
+                    // subtract so the combine ends exactly where the
+                    // scheduled attempt does
+                    dur_us: a.dur_us - body_us,
+                    records: t.out_records,
+                    ..event(TracePhase::Combine, a)
+                });
+            }
+        }
+        for (p, &bytes) in self.partition_bytes.iter().enumerate() {
+            events.push(TraceEvent {
+                phase: TracePhase::Shuffle,
+                task: p as u64,
+                machine: (p % self.machines.len()) as u64,
+                partition: Some(p as u64),
+                attempt: 0,
+                failed: false,
+                speculative: false,
+                start_us: self.map_run.barrier(),
+                dur_us: bytes as f64 * costs.network_us_per_byte,
+                records: self.partition_records[p],
+                bytes,
+            });
+        }
+        for a in &self.reduce_run.attempts {
+            let ok = a.outcome == sched::Outcome::Success;
+            events.push(TraceEvent {
+                partition: Some(a.task as u64),
+                records: if ok {
+                    self.partition_records[a.task]
+                } else {
+                    0
+                },
+                bytes: if ok { self.partition_bytes[a.task] } else { 0 },
+                ..event(TracePhase::Reduce, a)
+            });
+        }
+        events.sort_unstable_by_key(|e| (e.phase, e.machine, e.task, e.attempt));
+        events
+    }
+}
+
+/// The trace event of one scheduled attempt, with no records or bytes.
+fn event(phase: TracePhase, a: &sched::Attempt) -> TraceEvent {
+    TraceEvent {
+        phase,
+        task: a.task as u64,
+        machine: a.machine as u64,
+        partition: None,
+        attempt: a.attempt,
+        failed: a.outcome != sched::Outcome::Success,
+        speculative: a.speculative,
+        start_us: a.start_us,
+        dur_us: a.dur_us,
+        records: 0,
+        bytes: 0,
+    }
+}
+
+/// Add one finished job's stats to the telemetry: the base `mr.*`
+/// counters (registered even at zero; `mr.jobs` is counted when the job
+/// starts, so failed jobs count too), the `mr.sim.*` histograms in
+/// integer µs, and the recovery counters, which exist only once recovery
+/// happened so fault-free snapshots keep their legacy shape.
+fn publish(t: &Registry, s: &JobStats) {
+    for (name, v, always) in [
+        ("mr.map.tasks", s.map_tasks, true),
+        ("mr.map.input_records", s.map_input_records, true),
+        ("mr.map.output_records", s.map_output_records, true),
+        ("mr.combine.output_pairs", s.combine_output_pairs, true),
+        ("mr.shuffle.bytes", s.shuffle_bytes, true),
+        ("mr.map.task_retries", s.map_task_retries, true),
+        ("mr.reduce.tasks", s.reduce_tasks, true),
+        ("mr.reduce.input_values", s.reduce_input_values, true),
+        ("mr.distinct_keys", s.distinct_keys, true),
+        ("mr.reduce.task_retries", s.reduce_task_retries, true),
+        ("mr.map.task_reexecutions", s.map_task_reexecutions, false),
+        ("mr.spec.attempts", s.speculative_attempts, false),
+        ("mr.spec.wins", s.speculation_wins, false),
+        ("mr.nodes.crashed", s.nodes_crashed, false),
+        ("mr.nodes.blacklisted", s.nodes_blacklisted, false),
+    ] {
+        if always || v > 0 {
+            t.counter(name).add(v);
+        }
+    }
+    for (name, us) in [
+        ("mr.sim.map_us", s.sim.map_us),
+        ("mr.sim.combine_us", s.sim.combine_us),
+        ("mr.sim.shuffle_us", s.sim.shuffle_us),
+        ("mr.sim.reduce_us", s.sim.reduce_us),
+        ("mr.sim.makespan_us", s.sim.makespan_us),
+    ] {
+        t.record(name, us.round() as u64);
+    }
+}
+
 /// Deterministic hash partitioner (SipHash with the fixed default keys —
 /// stable across runs and threads).
 fn partition_of<K: Hash>(key: &K, parts: usize) -> usize {
@@ -948,9 +902,43 @@ fn partition_of<K: Hash>(key: &K, parts: usize) -> usize {
     (h.finish() % parts as u64) as usize
 }
 
-/// A small multiply-rotate hasher (the Fx hash of rustc) for the map
-/// task's key index. The index is only ever looked up, never iterated,
-/// so the hash affects speed and nothing else.
+/// Values grouped by key in first-sight order, for the map task's fold
+/// and the reduce task's grouping. The index is only ever looked up,
+/// never iterated, so the group order (and every seed derived from a
+/// group's position) does not depend on the hasher.
+struct FirstSight<K, V> {
+    index: HashMap<K, usize, BuildHasherDefault<FxHasher>>,
+    groups: Vec<(K, V)>,
+}
+
+impl<K: Clone + Eq + Hash, V> FirstSight<K, V> {
+    fn new() -> Self {
+        Self {
+            index: HashMap::default(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// The value of `key`'s group; a new key becomes group
+    /// `g = groups.len()` with value `init(g, &key)`.
+    #[inline]
+    fn entry(&mut self, key: K, init: impl FnOnce(usize, &K) -> V) -> &mut V {
+        let g = match self.index.get(&key) {
+            Some(&g) => g,
+            None => {
+                let g = self.groups.len();
+                let value = init(g, &key);
+                self.index.insert(key.clone(), g);
+                self.groups.push((key, value));
+                g
+            }
+        };
+        &mut self.groups[g].1
+    }
+}
+
+/// A small multiply-rotate hasher (the Fx hash of rustc) for
+/// [`FirstSight`]'s index, where the hash affects speed and nothing else.
 #[derive(Default, Clone, Copy)]
 struct FxHasher(u64);
 
@@ -1076,7 +1064,7 @@ mod tests {
     fn word_count_without_combiner() {
         let cluster = Cluster::new(3).with_costs(CostConfig::zero_overhead());
         let splits = make_splits(corpus(), 4, 3);
-        let out = cluster.run(&WordCount, &splits, 1);
+        let out = cluster.try_run(&WordCount, &splits, 1).unwrap();
         let counts = counts_of(&out.results);
         assert_eq!(counts["a"], 3);
         assert_eq!(counts["b"], 2);
@@ -1092,8 +1080,10 @@ mod tests {
         let costs = CostConfig::zero_overhead();
         let cluster = Cluster::new(2).with_costs(costs);
         let splits = make_splits(corpus(), 2, 2);
-        let plain = cluster.run(&WordCount, &splits, 7);
-        let combined = cluster.run_with_combiner(&WordCountCombined, &splits, 7);
+        let plain = cluster.try_run(&WordCount, &splits, 7).unwrap();
+        let combined = cluster
+            .try_run_with_combiner(&WordCountCombined, &splits, 7)
+            .unwrap();
         assert_eq!(counts_of(&plain.results), counts_of(&combined.results));
         assert!(
             combined.stats.shuffle_bytes < plain.stats.shuffle_bytes,
@@ -1112,8 +1102,8 @@ mod tests {
     fn results_are_deterministic_given_seed() {
         let cluster = Cluster::new(4);
         let splits = make_splits(corpus(), 3, 4);
-        let a = cluster.run(&WordCount, &splits, 99);
-        let b = cluster.run(&WordCount, &splits, 99);
+        let a = cluster.try_run(&WordCount, &splits, 99).unwrap();
+        let b = cluster.try_run(&WordCount, &splits, 99).unwrap();
         assert_eq!(a.results, b.results);
     }
 
@@ -1144,7 +1134,7 @@ mod tests {
         for machines in [1usize, 5, 10] {
             let cluster = Cluster::new(machines);
             let splits = make_splits(records.clone(), 64, machines);
-            let out = cluster.run(&Scan, &splits, 0);
+            let out = cluster.try_run(&Scan, &splits, 0).unwrap();
             let mk = out.stats.sim.makespan_us;
             assert!(
                 mk < prev,
@@ -1183,7 +1173,8 @@ mod tests {
         let run = |machines: usize| {
             let cluster = Cluster::new(machines).with_costs(zero);
             let splits = make_splits(records.clone(), machines * 4, machines);
-            cluster.run(&Scan, &splits, 0).stats.sim.makespan_us
+            let out = cluster.try_run(&Scan, &splits, 0).unwrap();
+            out.stats.sim.makespan_us
         };
         let m1 = run(1);
         let m10 = run(10);
@@ -1201,8 +1192,8 @@ mod tests {
         // with identical config must agree bit-for-bit.
         let cluster = Cluster::new(2).with_reduce_tasks(5);
         let splits = make_splits(corpus(), 2, 2);
-        let a = cluster.run(&WordCount, &splits, 3);
-        let b = cluster.run(&WordCount, &splits, 3);
+        let a = cluster.try_run(&WordCount, &splits, 3).unwrap();
+        let b = cluster.try_run(&WordCount, &splits, 3).unwrap();
         assert_eq!(a.results, b.results);
         assert_eq!(a.stats.shuffle_bytes, b.stats.shuffle_bytes);
     }
@@ -1229,13 +1220,9 @@ mod tests {
     fn straggler_dominates_makespan() {
         let records: Vec<u64> = (0..400).collect();
         let splits = make_splits(records, 8, 4);
-        let uniform = Cluster::new(4).run(&Scan, &splits, 0).stats.sim.makespan_us;
-        let straggling = Cluster::new(4)
-            .with_machine_slowness(vec![1.0, 1.0, 1.0, 3.0])
-            .run(&Scan, &splits, 0)
-            .stats
-            .sim
-            .makespan_us;
+        let makespan = |c: Cluster| c.try_run(&Scan, &splits, 0).unwrap().stats.sim.makespan_us;
+        let uniform = makespan(Cluster::new(4));
+        let straggling = makespan(Cluster::new(4).with_machine_slowness(vec![1.0, 1.0, 1.0, 3.0]));
         // one machine at 1/3 speed holds the whole job back (fixed job
         // overhead dampens the ratio below the full 3×)
         assert!(
@@ -1250,8 +1237,8 @@ mod tests {
         let clean = Cluster::new(2);
         // high failure rate so retries certainly occur
         let flaky = Cluster::new(2).with_failures(0.4);
-        let a = clean.run(&WordCount, &splits, 11);
-        let b = flaky.run(&WordCount, &splits, 11);
+        let a = clean.try_run(&WordCount, &splits, 11).unwrap();
+        let b = flaky.try_run(&WordCount, &splits, 11).unwrap();
         assert_eq!(
             counts_of(&a.results),
             counts_of(&b.results),
@@ -1272,8 +1259,8 @@ mod tests {
     fn failure_injection_is_deterministic() {
         let splits = make_splits(corpus(), 3, 2);
         let flaky = Cluster::new(2).with_failures(0.3);
-        let a = flaky.run(&WordCount, &splits, 5);
-        let b = flaky.run(&WordCount, &splits, 5);
+        let a = flaky.try_run(&WordCount, &splits, 5).unwrap();
+        let b = flaky.try_run(&WordCount, &splits, 5).unwrap();
         assert_eq!(a.stats.map_task_retries, b.stats.map_task_retries);
         assert_eq!(
             a.stats.map_task_retries + a.stats.reduce_task_retries,
@@ -1321,16 +1308,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mapreduce job failed")]
-    fn run_panics_on_job_error() {
-        let splits = make_splits(corpus(), 2, 2);
-        let _ = Cluster::new(2)
-            .with_failures(1.0)
-            .with_retry_budget(2)
-            .run(&WordCount, &splits, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "prob must be in [0, 1]")]
     fn failure_prob_validated() {
         let _ = Cluster::new(1).with_failures(1.5);
@@ -1346,11 +1323,14 @@ mod tests {
     fn crash_loses_map_outputs_and_reexecutes() {
         let records: Vec<u64> = (0..400).collect();
         let splits = make_splits(records, 8, 4);
-        let healthy = Cluster::new(4).run(&Scan, &splits, 3);
+        let healthy = Cluster::new(4).try_run(&Scan, &splits, 3).unwrap();
         // crash machine 0 shortly after the job starts: its finished map
         // outputs are lost and re-executed on the survivors
         let plan = FaultPlan::new().crash(0, 7_000_000.0);
-        let crashed = Cluster::new(4).with_fault_plan(plan).run(&Scan, &splits, 3);
+        let crashed = Cluster::new(4)
+            .with_fault_plan(plan)
+            .try_run(&Scan, &splits, 3)
+            .unwrap();
         assert_eq!(
             counts_of_u8(&healthy.results),
             counts_of_u8(&crashed.results),
@@ -1391,11 +1371,13 @@ mod tests {
         let plan = FaultPlan::new().slow(3, 8.0);
         let slow = Cluster::new(4)
             .with_fault_plan(plan.clone())
-            .run(&Scan, &splits, 0);
+            .try_run(&Scan, &splits, 0)
+            .unwrap();
         let speculating = Cluster::new(4)
             .with_fault_plan(plan)
             .with_speculation(2.0)
-            .run(&Scan, &splits, 0);
+            .try_run(&Scan, &splits, 0)
+            .unwrap();
         assert_eq!(
             counts_of_u8(&slow.results),
             counts_of_u8(&speculating.results)
@@ -1417,8 +1399,9 @@ mod tests {
         let out = Cluster::new(2)
             .with_fault_plan(plan)
             .with_blacklist_after(3)
-            .run(&WordCount, &splits, 11);
-        let clean = Cluster::new(2).run(&WordCount, &splits, 11);
+            .try_run(&WordCount, &splits, 11)
+            .unwrap();
+        let clean = Cluster::new(2).try_run(&WordCount, &splits, 11).unwrap();
         assert_eq!(counts_of(&clean.results), counts_of(&out.results));
         assert_eq!(out.stats.nodes_blacklisted, 1);
     }
@@ -1430,8 +1413,8 @@ mod tests {
         let backed = Cluster::new(2)
             .with_failures(0.4)
             .with_retry_backoff(500_000.0);
-        let a = base.run(&WordCount, &splits, 11);
-        let b = backed.run(&WordCount, &splits, 11);
+        let a = base.try_run(&WordCount, &splits, 11).unwrap();
+        let b = backed.try_run(&WordCount, &splits, 11).unwrap();
         assert!(a.stats.map_task_retries + a.stats.reduce_task_retries > 0);
         assert_eq!(a.stats.map_task_retries, b.stats.map_task_retries);
         assert_eq!(a.stats.reduce_task_retries, b.stats.reduce_task_retries);
@@ -1442,7 +1425,7 @@ mod tests {
     fn empty_input_produces_empty_output() {
         let cluster = Cluster::new(2);
         let splits: Vec<InputSplit<String>> = make_splits(vec![], 2, 2);
-        let out = cluster.run(&WordCount, &splits, 0);
+        let out = cluster.try_run(&WordCount, &splits, 0).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.stats.map_input_records, 0);
         assert_eq!(out.stats.distinct_keys, 0);
@@ -1467,7 +1450,7 @@ mod tests {
         let spy = SeedSpy(Mutex::new(Vec::new()));
         let cluster = Cluster::new(1);
         let splits = make_splits((0..20).collect(), 2, 1);
-        cluster.run(&&spy, &splits, 5);
+        cluster.try_run(&&spy, &splits, 5).unwrap();
         let mut seeds = spy.0.into_inner().unwrap();
         let n = seeds.len();
         seeds.sort_unstable();

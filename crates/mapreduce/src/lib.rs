@@ -34,9 +34,10 @@
 //!
 //! let cluster = Cluster::new(4);
 //! let splits = make_splits((0..100).collect(), 8, 4);
-//! let out = cluster.run_with_combiner(&CountEven, &splits, 42);
+//! let out = cluster.try_run_with_combiner(&CountEven, &splits, 42)?;
 //! let evens = out.results.iter().find(|(k, _)| *k).unwrap().1;
 //! assert_eq!(evens, 50);
+//! # Ok::<(), stratmr_mapreduce::JobError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -42,6 +42,7 @@ pub(crate) const DEFAULT_ATTEMPT_CAP: u32 = 10_000;
 
 /// One schedulable task: nominal work in µs, split into the main body
 /// (map or reduce) and a combine tail (zero outside the map phase).
+#[derive(Clone, Copy)]
 pub(crate) struct SchedTask {
     pub body_us: f64,
     pub tail_us: f64,
@@ -55,6 +56,7 @@ impl SchedTask {
 }
 
 /// The cluster's fault-tolerance knobs, resolved once per job.
+#[derive(Clone, Copy)]
 pub(crate) struct Knobs {
     pub base_fail_prob: f64,
     pub task_overhead_us: f64,
@@ -142,9 +144,9 @@ struct Entry {
 
 /// The scheduling of one phase: feed it the tasks, drain the queue, and
 /// read back attempts, completions and counters.
-pub(crate) struct PhaseRun<'a> {
-    knobs: &'a Knobs,
-    tasks: &'a [SchedTask],
+pub(crate) struct PhaseRun {
+    knobs: Knobs,
+    tasks: Vec<SchedTask>,
     phase: &'static str,
     phase_id: u64,
     job_seed: u64,
@@ -162,10 +164,10 @@ pub(crate) struct PhaseRun<'a> {
     pub spec_wins: u64,
 }
 
-impl<'a> PhaseRun<'a> {
+impl PhaseRun {
     pub fn new(
-        knobs: &'a Knobs,
-        tasks: &'a [SchedTask],
+        knobs: Knobs,
+        tasks: Vec<SchedTask>,
         phase: &'static str,
         phase_id: u64,
         job_seed: u64,
@@ -605,7 +607,7 @@ mod tests {
         let k = knobs();
         let ts = tasks(&[100.0, 200.0]);
         let mut ms = machines(2);
-        let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
+        let mut run = PhaseRun::new(k, ts, "map", 0, 1, 0.0, true);
         run.drain(&mut ms).unwrap();
         assert_eq!(run.attempts.len(), 2);
         assert_eq!(run.completed_on, vec![Some(0), Some(1)]);
@@ -619,7 +621,7 @@ mod tests {
         let ts = tasks(&[100.0, 100.0]);
         let plan = crate::chaos::FaultPlan::new().crash(0, 150.0);
         let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
-        let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
+        let mut run = PhaseRun::new(k, ts, "map", 0, 1, 0.0, true);
         run.drain(&mut ms).unwrap();
         // task 0 completed on machine 0 before the crash
         assert_eq!(run.completed_on[0], Some(0));
@@ -638,7 +640,7 @@ mod tests {
         let ts = tasks(&[100.0]);
         let plan = crate::chaos::FaultPlan::new().crash(0, 0.0);
         let mut ms = MachineState::build(&[1.0], Some(&plan), 0.0);
-        let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
+        let mut run = PhaseRun::new(k, ts, "map", 0, 1, 0.0, true);
         let err = run.drain(&mut ms).unwrap_err();
         assert!(matches!(err, JobError::NoHealthyMachines { task: 0, .. }));
     }
@@ -652,7 +654,7 @@ mod tests {
         };
         let ts = tasks(&[100.0]);
         let mut ms = machines(1);
-        let mut run = PhaseRun::new(&k, &ts, "reduce", 1, 9, 0.0, false);
+        let mut run = PhaseRun::new(k, ts, "reduce", 1, 9, 0.0, false);
         let err = run.drain(&mut ms).unwrap_err();
         assert_eq!(
             err,
@@ -682,15 +684,14 @@ mod tests {
         };
         // find a seed with at least one failure so backoff matters
         for seed in 0..64 {
-            let ts = tasks(&[100.0]);
             let mut ms_a = machines(1);
-            let mut a = PhaseRun::new(&base, &ts, "map", 0, seed, 0.0, true);
+            let mut a = PhaseRun::new(base, tasks(&[100.0]), "map", 0, seed, 0.0, true);
             a.drain(&mut ms_a).unwrap();
             if a.retries == 0 {
                 continue;
             }
             let mut ms_b = machines(1);
-            let mut b = PhaseRun::new(&with_backoff, &ts, "map", 0, seed, 0.0, true);
+            let mut b = PhaseRun::new(with_backoff, tasks(&[100.0]), "map", 0, seed, 0.0, true);
             b.drain(&mut ms_b).unwrap();
             assert_eq!(a.retries, b.retries, "backoff must not change rolls");
             assert!(
@@ -720,7 +721,7 @@ mod tests {
             })
             .collect();
         let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
-        let mut run = PhaseRun::new(&k, &ts, "map", 0, 3, 0.0, true);
+        let mut run = PhaseRun::new(k, ts, "map", 0, 3, 0.0, true);
         run.drain(&mut ms).unwrap();
         assert!(ms[0].blacklisted);
         assert!(
@@ -739,7 +740,7 @@ mod tests {
         let plan = crate::chaos::FaultPlan::new().slow(0, 10.0);
         let ts = tasks(&[100.0, 100.0]);
         let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
-        let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
+        let mut run = PhaseRun::new(k, ts, "map", 0, 1, 0.0, true);
         run.drain(&mut ms).unwrap();
         assert_eq!(run.spec_attempts, 1);
         assert_eq!(run.spec_wins, 1);

@@ -1,10 +1,13 @@
-//! Cross-check: telemetry counters are derived at the event sites
-//! (inside map/shuffle/reduce execution), while `JobStats` is derived
-//! in the driver's accounting pass. The two accountings must agree on
-//! every job, for every cluster shape, with and without failures.
+//! The `mr.*` counters are a projection of `JobStats`: each finished
+//! job publishes its stats once, on the driver, after its schedule has
+//! been replayed. These tests guard that projection. Summed over every
+//! job, the counters must equal the summed `JobStats`, for every cluster
+//! shape, under injected failures and under node faults with recovery.
+//! A job that fails publishes nothing but its failure counters.
 
 use stratmr_mapreduce::{
-    make_splits, Cluster, CombineJob, CostConfig, Emitter, Job, JobStats, TaskCtx,
+    make_splits, Cluster, CombineJob, CostConfig, Emitter, FaultPlan, Job, JobError, JobStats,
+    TaskCtx,
 };
 use stratmr_telemetry::Registry;
 
@@ -73,6 +76,11 @@ struct Expected {
     reduce_tasks: u64,
     map_task_retries: u64,
     reduce_task_retries: u64,
+    map_task_reexecutions: u64,
+    speculative_attempts: u64,
+    speculation_wins: u64,
+    nodes_crashed: u64,
+    nodes_blacklisted: u64,
 }
 
 impl Expected {
@@ -88,6 +96,11 @@ impl Expected {
         self.reduce_tasks += s.reduce_tasks;
         self.map_task_retries += s.map_task_retries;
         self.reduce_task_retries += s.reduce_task_retries;
+        self.map_task_reexecutions += s.map_task_reexecutions;
+        self.speculative_attempts += s.speculative_attempts;
+        self.speculation_wins += s.speculation_wins;
+        self.nodes_crashed += s.nodes_crashed;
+        self.nodes_blacklisted += s.nodes_blacklisted;
     }
 
     fn assert_matches(&self, registry: &Registry) {
@@ -104,6 +117,11 @@ impl Expected {
             ("mr.reduce.tasks", self.reduce_tasks),
             ("mr.map.task_retries", self.map_task_retries),
             ("mr.reduce.task_retries", self.reduce_task_retries),
+            ("mr.map.task_reexecutions", self.map_task_reexecutions),
+            ("mr.spec.attempts", self.speculative_attempts),
+            ("mr.spec.wins", self.speculation_wins),
+            ("mr.nodes.crashed", self.nodes_crashed),
+            ("mr.nodes.blacklisted", self.nodes_blacklisted),
         ];
         for (name, want) in pairs {
             assert_eq!(
@@ -119,17 +137,51 @@ impl Expected {
 fn counters_agree_with_job_stats_on_every_job() {
     let registry = Registry::new();
     let mut expected = Expected::default();
+    // machine 0 crashes after its first map task, machine 1 runs at an
+    // eighth of its speed, machine 2 fails most attempts
+    let faulty = Cluster::new(4)
+        .with_costs(CostConfig {
+            cpu_slowdown: 0.0,
+            ..CostConfig::default()
+        })
+        .with_fault_plan(
+            FaultPlan::new()
+                .crash(0, 6_500_000.0)
+                .slow(1, 8.0)
+                .flaky(2, 0.9),
+        )
+        .with_speculation(2.0)
+        .with_blacklist_after(2);
 
-    for (machines, splits_n, seed) in [(1usize, 1usize, 7u64), (3, 5, 8), (4, 9, 9)] {
-        let cluster = Cluster::new(machines).with_telemetry(registry.clone());
-        let splits = make_splits(records(200), splits_n, machines);
-        let out = cluster.run(&SumJob, &splits, seed);
+    for (cluster, splits_n, seed) in [
+        (Cluster::new(1), 1usize, 7u64),
+        (Cluster::new(3), 5, 8),
+        (Cluster::new(4), 9, 9),
+        (faulty, 12, 10),
+    ] {
+        let cluster = cluster.with_telemetry(registry.clone());
+        let splits = make_splits(records(200), splits_n, cluster.machines());
+        let out = cluster.try_run(&SumJob, &splits, seed).unwrap();
         expected.absorb(&out.stats);
         expected.assert_matches(&registry);
 
-        let out = cluster.run_with_combiner(&SumJobCombined, &splits, seed ^ 0xABCD);
+        let out = cluster
+            .try_run_with_combiner(&SumJobCombined, &splits, seed ^ 0xABCD)
+            .unwrap();
         expected.absorb(&out.stats);
         expected.assert_matches(&registry);
+    }
+    for (what, n) in [
+        ("re-executions", expected.map_task_reexecutions),
+        ("speculative attempts", expected.speculative_attempts),
+        ("speculation wins", expected.speculation_wins),
+        ("crashed nodes", expected.nodes_crashed),
+        ("blacklisted nodes", expected.nodes_blacklisted),
+    ] {
+        assert!(
+            n > 0,
+            "the fault plan caused no {what}; the check is vacuous"
+        );
     }
 }
 
@@ -146,7 +198,7 @@ fn retry_counters_agree_under_failures() {
         .with_telemetry(registry.clone());
     let splits = make_splits(records(120), 6, 2);
     for seed in 0..10u64 {
-        let out = cluster.run(&SumJob, &splits, seed);
+        let out = cluster.try_run(&SumJob, &splits, seed).unwrap();
         expected.absorb(&out.stats);
     }
     assert!(
@@ -156,13 +208,74 @@ fn retry_counters_agree_under_failures() {
     expected.assert_matches(&registry);
 }
 
+/// Every counter and histogram a failed job leaves in a fresh registry.
+fn failed_job_telemetry(cluster: Cluster, want: JobError) -> Vec<(String, u64)> {
+    let registry = Registry::new();
+    let cluster = cluster.with_telemetry(registry.clone());
+    let splits = make_splits(records(40), 2, 2);
+    let err = cluster.try_run(&SumJob, &splits, 1).unwrap_err();
+    assert_eq!(err, want);
+    let snap = registry.snapshot();
+    for name in [
+        "mr.sim.map_us",
+        "mr.sim.combine_us",
+        "mr.sim.shuffle_us",
+        "mr.sim.reduce_us",
+        "mr.sim.makespan_us",
+    ] {
+        assert!(snap.histogram(name).is_none(), "failed job recorded {name}");
+    }
+    let mut counters: Vec<(String, u64)> = snap
+        .counter_names()
+        .map(|n| (n.to_string(), snap.counter(n)))
+        .collect();
+    counters.sort();
+    counters
+}
+
+#[test]
+fn failed_jobs_publish_only_their_failure() {
+    let exhausted = failed_job_telemetry(
+        Cluster::new(2).with_failures(1.0).with_retry_budget(2),
+        JobError::RetriesExhausted {
+            phase: "map",
+            task: 0,
+            attempts: 2,
+        },
+    );
+    assert_eq!(
+        exhausted,
+        [
+            ("mr.jobs", 1),
+            ("mr.jobs.failed", 1),
+            ("mr.map.retries_exhausted", 1)
+        ]
+        .map(|(n, v)| (n.to_string(), v))
+    );
+
+    let all_crashed = FaultPlan::new().crash(0, 0.0).crash(1, 0.0);
+    let unplaceable = failed_job_telemetry(
+        Cluster::new(2).with_fault_plan(all_crashed),
+        JobError::NoHealthyMachines {
+            phase: "map",
+            task: 0,
+        },
+    );
+    assert_eq!(
+        unplaceable,
+        [("mr.jobs", 1), ("mr.jobs.failed", 1)].map(|(n, v)| (n.to_string(), v))
+    );
+}
+
 #[test]
 fn phase_spans_cover_the_job() {
     let registry = Registry::new();
     let cluster = Cluster::new(2).with_telemetry(registry.clone());
     let splits = make_splits(records(50), 4, 2);
-    cluster.run_with_combiner(&SumJobCombined, &splits, 3);
-    cluster.run(&SumJob, &splits, 4);
+    cluster
+        .try_run_with_combiner(&SumJobCombined, &splits, 3)
+        .unwrap();
+    cluster.try_run(&SumJob, &splits, 4).unwrap();
 
     let snap = registry.snapshot();
     assert_eq!(snap.span_calls("mr.job"), 2);
@@ -182,7 +295,9 @@ fn combine_span_fits_inside_its_job() {
     let cluster = Cluster::new(4).with_telemetry(registry.clone());
     let splits = make_splits(records(200_000), 16, 4);
     for seed in 0..3 {
-        cluster.run_with_combiner(&SumJobCombined, &splits, seed);
+        cluster
+            .try_run_with_combiner(&SumJobCombined, &splits, seed)
+            .unwrap();
     }
     let snap = registry.snapshot();
     assert_eq!(snap.span_calls("mr.job/combine"), 3);
@@ -199,7 +314,7 @@ fn cluster_without_telemetry_emits_nothing() {
     let registry = Registry::new();
     let cluster = Cluster::new(2);
     let splits = make_splits(records(30), 2, 2);
-    cluster.run(&SumJob, &splits, 1);
+    cluster.try_run(&SumJob, &splits, 1).unwrap();
     assert_eq!(registry.snapshot().counter_names().count(), 0);
     assert!(cluster.telemetry().is_none());
 }

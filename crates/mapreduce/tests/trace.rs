@@ -71,7 +71,9 @@ fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
         cluster = cluster.with_failures(failure_prob);
     }
     let splits = make_splits(words(64), 5, machines);
-    cluster.run_with_combiner(&WordLen, &splits, seed);
+    cluster
+        .try_run_with_combiner(&WordLen, &splits, seed)
+        .unwrap();
     sink.jobs()
 }
 
@@ -84,7 +86,9 @@ fn trace_stream_is_sorted_and_complete() {
         .with_trace(sink.clone())
         .with_job_name("wordlen");
     let splits = make_splits(words(64), 5, 3);
-    let out = cluster.run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF);
+    let out = cluster
+        .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
+        .unwrap();
 
     let jobs = sink.jobs();
     assert_eq!(jobs.len(), 1);
@@ -149,7 +153,9 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
             .with_trace(sink.clone())
             .with_job_name("repro");
         let splits = make_splits(words(128), 9, 4);
-        cluster.run_with_combiner(&WordLen, &splits, seed);
+        cluster
+            .try_run_with_combiner(&WordLen, &splits, seed)
+            .unwrap();
         sink.chrome_trace_json()
     };
     assert_eq!(
@@ -169,7 +175,9 @@ fn chrome_trace_export_matches_golden_file() {
         .with_trace(sink.clone())
         .with_job_name("wordlen");
     let splits = make_splits(words(64), 5, 3);
-    cluster.run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF);
+    cluster
+        .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
+        .unwrap();
 
     let json = sink.chrome_trace_json();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chrome_trace.json");
