@@ -40,15 +40,10 @@ pub fn solve_ip(problem: &Problem) -> Result<Solution, LpError> {
     solve_ip_counted(problem).map(|(s, _)| s)
 }
 
-/// [`solve_ip`] with telemetry: records the `ip.solves`, `ip.nodes`,
-/// `ip.lp_relaxations`, `ip.pivots` and `ip.errors` counters and times
-/// the solve under an `ip.solve` span.
-pub fn solve_ip_traced(problem: &Problem, registry: &Registry) -> Result<Solution, LpError> {
-    solve_ip_traced_counted(problem, registry).map(|(s, _)| s)
-}
-
-/// [`solve_ip_traced`], also returning the search-effort counts — one
-/// call that feeds both the telemetry registry and an explain capture.
+/// [`solve_ip_counted`] with telemetry: records the `ip.solves`,
+/// `ip.nodes`, `ip.lp_relaxations`, `ip.pivots` and `ip.errors` counters
+/// and times the solve under an `ip.solve` span. The returned
+/// search-effort counts feed an explain capture.
 pub fn solve_ip_traced_counted(
     problem: &Problem,
     registry: &Registry,
@@ -292,13 +287,24 @@ mod tests {
         let x = p.add_var(1.0);
         let y = p.add_var(1.0);
         p.add_constraint(vec![(x, 2.0), (y, 2.0)], Relation::Ge, 3.0);
-        let s = solve_ip_traced(&p, &registry).unwrap();
+        let (s, stats) = solve_ip_traced_counted(&p, &registry).unwrap();
         assert_close(s.objective, 2.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ip.solves"), 1);
         assert!(snap.counter("ip.nodes") >= 1);
         assert!(snap.counter("ip.lp_relaxations") >= 1);
+        assert_eq!(snap.counter("ip.nodes"), stats.nodes);
+        assert_eq!(snap.counter("ip.pivots"), stats.pivots);
         assert_eq!(snap.span_calls("ip.solve"), 1);
+
+        // infeasible problems land in ip.errors, not ip.solves
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
+        assert_eq!(
+            solve_ip_traced_counted(&p, &registry),
+            Err(LpError::Infeasible)
+        );
+        assert_eq!(registry.snapshot().counter("ip.errors"), 1);
+        assert_eq!(registry.snapshot().counter("ip.solves"), 1);
     }
 
     #[test]

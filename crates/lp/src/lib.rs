@@ -31,10 +31,6 @@ pub mod branch_bound;
 pub mod problem;
 pub mod simplex;
 
-pub use branch_bound::{
-    solve_ip, solve_ip_counted, solve_ip_traced, solve_ip_traced_counted, BranchBoundStats,
-};
+pub use branch_bound::{solve_ip, solve_ip_counted, solve_ip_traced_counted, BranchBoundStats};
 pub use problem::{Constraint, LpError, Problem, Relation, Solution, VarId};
-pub use simplex::{
-    solve_lp, solve_lp_counted, solve_lp_traced, solve_lp_traced_counted, SimplexStats,
-};
+pub use simplex::{solve_lp, solve_lp_counted, solve_lp_traced_counted, SimplexStats};

@@ -43,16 +43,11 @@ pub fn solve_lp_counted(problem: &Problem) -> Result<(Solution, SimplexStats), L
     Tableau::build(problem)?.solve(problem)
 }
 
-/// [`solve_lp`] with telemetry: records the `lp.solves`, `lp.pivots`,
-/// `lp.pivots.phase1`, `lp.pivots.phase2` and `lp.errors` counters and
-/// times the solve under an `lp.solve` span (nested under whatever span
-/// the caller holds open).
-pub fn solve_lp_traced(problem: &Problem, registry: &Registry) -> Result<Solution, LpError> {
-    solve_lp_traced_counted(problem, registry).map(|(s, _)| s)
-}
-
-/// [`solve_lp_traced`], also returning the pivot counts — one call that
-/// feeds both the telemetry registry and an explain capture.
+/// [`solve_lp_counted`] with telemetry: records the `lp.solves`,
+/// `lp.pivots`, `lp.pivots.phase1`, `lp.pivots.phase2` and `lp.errors`
+/// counters and times the solve under an `lp.solve` span (nested under
+/// whatever span the caller holds open). The returned pivot counts feed
+/// an explain capture.
 pub fn solve_lp_traced_counted(
     problem: &Problem,
     registry: &Registry,
@@ -500,10 +495,11 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-        let s = solve_lp_traced(&p, &registry).unwrap();
+        let (s, stats) = solve_lp_traced_counted(&p, &registry).unwrap();
         assert_close(s.values[x], 5.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("lp.solves"), 1);
+        assert_eq!(snap.counter("lp.pivots"), stats.pivots());
         assert_eq!(
             snap.counter("lp.pivots"),
             snap.counter("lp.pivots.phase1") + snap.counter("lp.pivots.phase2")
@@ -512,7 +508,10 @@ mod tests {
 
         // infeasible problems land in lp.errors, not lp.solves
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        assert_eq!(solve_lp_traced(&p, &registry), Err(LpError::Infeasible));
+        assert_eq!(
+            solve_lp_traced_counted(&p, &registry),
+            Err(LpError::Infeasible)
+        );
         assert_eq!(registry.snapshot().counter("lp.errors"), 1);
         assert_eq!(registry.snapshot().counter("lp.solves"), 1);
     }

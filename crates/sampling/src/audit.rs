@@ -1,19 +1,42 @@
 //! Sample-quality audit ledger and report.
 //!
 //! Every sampling job (MR-SQE, MR-MQE, the combined and residual phases
-//! of MR-CPS) records a per-stratum *inclusion-probability trail* in the
-//! telemetry registry: how many individuals were requested, how many
-//! candidates were seen, how many were sampled and rejected. This module
-//! turns those counters back into statistics — acceptance probabilities,
-//! Horvitz–Thompson weights, realized-`f` bias z-scores against the
-//! binomial bound — and bundles them with estimator diagnostics from
-//! [`crate::estimate`] into a [`QualityReport`] that renders as
-//! deterministic sorted-key JSON or an aligned text table (same
-//! conventions as `Snapshot::render_text`).
+//! of MR-CPS) leaves a per-stratum *inclusion-probability trail*: how
+//! many individuals were requested, how many candidates were seen, how
+//! many were sampled and rejected. Each entry point builds the trails
+//! from its job's results once the job has succeeded and publishes
+//! them as telemetry counters (all monotone `u64`); a failed job
+//! publishes none:
 //!
-//! Data flow: sampling jobs write counters → [`QualityReport::from_snapshot`]
-//! reconstructs the ledger → the bench suite embeds the report in
-//! `BENCH_*.json` artifacts → `bench_compare` gates on realized-`f` bias.
+//! | name | meaning |
+//! |---|---|
+//! | `<job>.s<k>.requested` | the frequency `f_k` the query asked for |
+//! | `<job>.s<k>.candidates` | tuples matched into stratum `k`: the reducer's `seen`, the sum of its intermediate samples' `drawn_from` |
+//! | `<job>.s<k>.sampled` | tuples in stratum `k`'s final sample |
+//! | `<job>.s<k>.rejected` | candidates observed but not selected |
+//!
+//! where `<job>` is `sqe`, `mqe.q<i>` (per query) or `cps.combined` (per
+//! combined-query stratum). Every stratum of the query gets a trail, with
+//! zero candidates when no tuple reached it. The residual phase of
+//! MR-CPS publishes one aggregate quadruple `cps.residual.<field>` per
+//! round, because its keys are dynamic `(query, σ)` pairs.
+//!
+//! Together the quadruple is a per-stratum inclusion-probability trail:
+//! each of the `candidates` tuples entered the final sample with
+//! probability `sampled / candidates` and therefore represents
+//! `candidates / sampled` population members (the Horvitz–Thompson
+//! weight). This module also turns those counters back into statistics
+//! — acceptance probabilities, Horvitz–Thompson weights, realized-`f`
+//! bias z-scores against the binomial bound — and bundles them with
+//! estimator diagnostics from [`crate::estimate`] into a
+//! [`QualityReport`] that renders as deterministic sorted-key JSON or an
+//! aligned text table (same conventions as `Snapshot::render_text`).
+//!
+//! Data flow: sampling jobs publish trails →
+//! [`QualityReport::from_snapshot`] reads them back (a registry may hold
+//! the trails of many runs, summed) → the bench suite embeds the report
+//! in `BENCH_*.json` artifacts → `bench_compare` gates on realized-`f`
+//! bias.
 
 use std::fmt::Write as _;
 
@@ -21,7 +44,7 @@ use crate::estimate::{srs_mean, stratified_mean, Estimate};
 use crate::stats::binomial_within_bound;
 use stratmr_population::{AttrId, Individual};
 use stratmr_query::SsdAnswer;
-use stratmr_telemetry::Snapshot;
+use stratmr_telemetry::{Registry, Snapshot};
 
 /// z-score of a two-sided 95% confidence interval.
 pub const Z_95: f64 = 1.96;
@@ -60,8 +83,9 @@ pub(crate) fn escape_json(s: &str) -> String {
 }
 
 /// The inclusion-probability trail of one stratum of one sampling job —
-/// the raw material of the audit ledger, reconstructed from the
-/// `<job>.s<k>.{requested,candidates,sampled,rejected}` counters.
+/// the raw material of the audit ledger. Built from the job's results,
+/// published as the `<job>.s<k>.{requested,candidates,sampled,rejected}`
+/// counters and read back from them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StratumTrail {
     /// Counter prefix identifying the job and stratum, e.g. `sqe.s0`,
@@ -78,6 +102,32 @@ pub struct StratumTrail {
 }
 
 impl StratumTrail {
+    /// The trail of stratum `k` of the sampling job `job`, keyed
+    /// `<job>.s<k>`: it asked for `requested` tuples and kept `sampled`
+    /// of the `candidates` its combiners observed.
+    pub(crate) fn stratum(
+        job: &str,
+        k: usize,
+        requested: usize,
+        sampled: usize,
+        candidates: u64,
+    ) -> Self {
+        let key = format!("{job}.s{k}");
+        Self::new(key, requested as u64, sampled as u64, candidates)
+    }
+
+    /// A trail keyed `key` itself, for a job whose keys are not a fixed
+    /// stratum range (the aggregate of one residual round).
+    pub(crate) fn new(key: String, requested: u64, sampled: u64, candidates: u64) -> Self {
+        Self {
+            key,
+            requested,
+            candidates,
+            sampled,
+            rejected: candidates.saturating_sub(sampled),
+        }
+    }
+
     /// The target inclusion probability `min(1, f / candidates)` — what
     /// an unbiased design should realize. Zero when no candidates exist.
     pub fn target_probability(&self) -> f64 {
@@ -138,6 +188,18 @@ impl StratumTrail {
     /// analogue of [`Estimate::degenerate`].
     pub fn is_starved(&self) -> bool {
         self.requested > 0 && self.sampled == 0
+    }
+}
+
+/// Publish the trails of one successful sampling job as the counters
+/// `<key>.{requested,candidates,sampled,rejected}`, the names
+/// [`QualityReport::from_snapshot`] reads back.
+pub(crate) fn publish(registry: &Registry, trails: impl IntoIterator<Item = StratumTrail>) {
+    for t in trails {
+        registry.add(&format!("{}.requested", t.key), t.requested);
+        registry.add(&format!("{}.candidates", t.key), t.candidates);
+        registry.add(&format!("{}.sampled", t.key), t.sampled);
+        registry.add(&format!("{}.rejected", t.key), t.rejected);
     }
 }
 

@@ -21,21 +21,19 @@
 //! single-program formulation is available for cross-checking
 //! (DESIGN.md, substitution 4).
 
-use crate::audit::{escape_json, write_json_f64};
-use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
+use crate::audit::{escape_json, publish, write_json_f64, StratumTrail};
+use crate::combiner::{try_sample, Router};
 use crate::limits::try_stratum_selection_limits;
 use crate::mqe::try_mr_mqe_on_splits;
-use crate::obs::StratumCounters;
 use crate::sst::{Sst, StratumSelection};
-use crate::unified::IntermediateSample;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
 use stratmr_lp::{
     solve_ip_counted, solve_ip_traced_counted, solve_lp_counted, solve_lp_traced_counted,
-    BranchBoundStats, LpError, Problem, Relation, SimplexStats, Solution,
+    BranchBoundStats, LpError, Problem, Relation, SimplexStats, Solution, VarId,
 };
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, SsdQuery, SurveySet};
 use stratmr_telemetry::Registry;
@@ -82,17 +80,19 @@ pub enum SolverKind {
     Ip,
 }
 
+/// Floor nudge `ε` compensating solver quantization: LP assignments are
+/// rounded to `⌊X_τ(σ) + ε⌋` (the paper uses 1e-4).
+const EPSILON: f64 = 1e-4;
+
+/// Safety bound on residual top-up rounds (one round suffices
+/// analytically; see the module docs).
+const MAX_RESIDUAL_ROUNDS: usize = 4;
+
 /// Configuration of a CPS run.
 #[derive(Debug, Clone, Copy)]
 pub struct CpsConfig {
     /// LP relaxation (MR-CPS) or exact IP (CPS).
     pub solver: SolverKind,
-    /// Floor nudge `ε` compensating solver quantization: assignments are
-    /// rounded to `⌊X_τ(σ) + ε⌋` (the paper uses 1e-4).
-    pub epsilon: f64,
-    /// Safety bound on residual top-up rounds (one round suffices
-    /// analytically; see the module docs).
-    pub max_residual_rounds: usize,
     /// Solve one joint program over all selections instead of one block
     /// per σ. Mathematically identical; exists for verification and the
     /// ablation bench.
@@ -103,8 +103,6 @@ impl Default for CpsConfig {
     fn default() -> Self {
         Self {
             solver: SolverKind::Lp,
-            epsilon: 1e-4,
-            max_residual_rounds: 4,
             joint_formulation: false,
         }
     }
@@ -617,42 +615,16 @@ pub fn try_mr_cps_on_splits(
         .collect();
 
     // ---- step 3: formulate & solve the Figure 3 program ----------------
-    let mut timings = CpsTimings::default();
-    let mut variables = 0usize;
-    let mut constraints = 0usize;
-    let mut solver_objective = 0.0f64;
-    let mut programs: Vec<ProgramExplain> = Vec::new();
-    let plans: Vec<SigmaPlan> = {
+    let Solved {
+        plans,
+        programs,
+        timings,
+        variables,
+        constraints,
+        objective: solver_objective,
+    } = {
         let _s = tel.map(|t| t.span("solve"));
-        if config.joint_formulation {
-            solve_joint(
-                &relevant,
-                &freq,
-                &limits,
-                mssd,
-                config,
-                tel,
-                &mut timings,
-                &mut variables,
-                &mut constraints,
-                &mut solver_objective,
-                &mut programs,
-            )?
-        } else {
-            solve_blockwise(
-                &relevant,
-                &freq,
-                &limits,
-                mssd,
-                config,
-                tel,
-                &mut timings,
-                &mut variables,
-                &mut constraints,
-                &mut solver_objective,
-                &mut programs,
-            )?
-        }
+        solve(&relevant, &freq, &limits, mssd, config, tel)?
     };
     if let Some(t) = tel {
         t.counter("cps.relevant_selections")
@@ -668,37 +640,38 @@ pub fn try_mr_cps_on_splits(
     // MapReduce program is MR-SQE on Q′, with the formula evaluation
     // strength-reduced to a selection lookup.
     let active: Vec<&SigmaPlan> = plans.iter().filter(|p| p.total > 0).collect();
-    let sigma_index: HashMap<StratumSelection, usize> = active
-        .iter()
-        .enumerate()
-        .map(|(k, p)| (p.sel.clone(), k))
-        .collect();
-    let combined_freqs: Vec<usize> = active.iter().map(|p| p.total as usize).collect();
-    let combined_counters =
-        tel.map(|t| StratumCounters::per_stratum(t, "cps.combined", active.len()));
-    if let Some(c) = &combined_counters {
-        for (k, &f) in combined_freqs.iter().enumerate() {
-            c.request(k, f as u64);
-        }
-    }
-    let combined_job = CombinedSqeJob {
+    let combined_router = CombinedRouter {
         queries,
-        index: &sigma_index,
-        freqs: &combined_freqs,
-        counters: combined_counters,
+        index: active
+            .iter()
+            .enumerate()
+            .map(|(k, p)| (p.sel.clone(), k))
+            .collect(),
+        freqs: active.iter().map(|p| p.total as usize).collect(),
     };
     let combined = {
         let _s = tel.map(|t| t.span("combined_sqe"));
-        cluster.named("cps/combined-sqe").try_run_with_combiner(
-            &combined_job,
+        try_sample(
+            &cluster.named("cps/combined-sqe"),
+            &combined_router,
             splits,
             seed.wrapping_add(3),
         )?
     };
     phase_stats.push(("combined MR-SQE".to_string(), combined.stats.clone()));
     let mut pools: Vec<Vec<Individual>> = vec![Vec::new(); active.len()];
-    for (k, sample) in combined.results {
+    let mut candidates = vec![0; active.len()];
+    for (k, (sample, seen)) in combined.results {
         pools[k] = sample;
+        candidates[k] = seen;
+    }
+    if let Some(t) = tel {
+        publish(
+            t,
+            combined_router.freqs.iter().enumerate().map(|(k, &f)| {
+                StratumTrail::stratum("cps.combined", k, f, pools[k].len(), candidates[k])
+            }),
+        );
     }
 
     let mut star: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
@@ -724,7 +697,7 @@ pub fn try_mr_cps_on_splits(
     // σ(t) lookup instead of re-evaluating ϕ(σ).
     let mut residual_selections = 0usize;
     let mut residual_rounds: Vec<ResidualRoundExplain> = Vec::new();
-    for round in 0..config.max_residual_rounds {
+    for round in 0..MAX_RESIDUAL_ROUNDS {
         // deficits per (i, σ)
         let mut needed: HashMap<(usize, StratumSelection), usize> = HashMap::new();
         for i in 0..n {
@@ -739,40 +712,50 @@ pub fn try_mr_cps_on_splits(
         if needed.is_empty() {
             break;
         }
-        // exclude already-selected individuals, per query
-        let exclusions: Vec<HashSet<u64>> = star
-            .iter()
-            .map(|a| a.iter().map(|t| t.id).collect())
-            .collect();
         let deficit: u64 = needed.values().map(|&v| v as u64).sum();
-        let residual_counters = tel.map(|t| StratumCounters::aggregate(t, "cps.residual"));
-        if let Some(c) = &residual_counters {
-            c.request(0, deficit);
-        }
-        let residual_job = ResidualMqeJob {
+        let residual_router = ResidualRouter {
             queries,
-            needed: &needed,
-            exclusions: &exclusions,
-            counters: residual_counters,
+            needed,
+            exclusions: star
+                .iter()
+                .map(|a| a.iter().map(|t| t.id).collect())
+                .collect(),
         };
         let residual = {
             let _s = tel.map(|t| t.span("residual"));
-            cluster
-                .named(&format!("cps/residual#{round}"))
-                .try_run_with_combiner(&residual_job, splits, seed.wrapping_add(4 + round as u64))?
+            try_sample(
+                &cluster.named(&format!("cps/residual#{round}")),
+                &residual_router,
+                splits,
+                seed.wrapping_add(4 + round as u64),
+            )?
         };
         if let Some(t) = tel {
             t.counter("cps.residual.rounds").inc();
         }
         phase_stats.push((format!("residual MR-MQE #{round}"), residual.stats.clone()));
         let mut added_this_round = 0usize;
-        for ((i, sel), tuples) in residual.results {
+        let mut candidates = 0;
+        for ((i, sel), (tuples, seen)) in residual.results {
+            candidates += seen;
             let stratum = sel.stratum_of(i).expect("deficit implies i ∈ I(σ)");
             for t in tuples {
                 star[i].stratum_mut(stratum).push(t);
                 *assigned[i].entry(sel.clone()).or_default() += 1;
                 added_this_round += 1;
             }
+        }
+        if let Some(t) = tel {
+            let added = added_this_round as u64;
+            publish(
+                t,
+                [StratumTrail::new(
+                    "cps.residual".into(),
+                    deficit,
+                    added,
+                    candidates,
+                )],
+            );
         }
         residual_selections += added_this_round;
         residual_rounds.push(ResidualRoundExplain {
@@ -866,90 +849,47 @@ pub fn try_mr_cps_on_splits(
     })
 }
 
-/// MR-SQE on the combined query Q′, with stratum matching done by
-/// computing `σ(t)` and indexing into the relevant selections (each Q′
+/// The mapping schema of MR-SQE on the combined query Q′: a tuple goes
+/// to the Q′ stratum of its selection `σ(t)`, if σ(t) has one (each Q′
 /// stratum's condition `ϕ(σ)` holds exactly on tuples with `σ(t) = σ`).
-struct CombinedSqeJob<'a> {
+struct CombinedRouter<'a> {
     queries: &'a [SsdQuery],
-    index: &'a HashMap<StratumSelection, usize>,
-    freqs: &'a [usize],
-    counters: Option<StratumCounters>,
+    /// The Q′ stratum of each active selection.
+    index: HashMap<StratumSelection, usize>,
+    /// `f(σ)` per Q′ stratum.
+    freqs: Vec<usize>,
 }
 
-impl CombineJob for CombinedSqeJob<'_> {
-    type Input = Individual;
+impl Router for CombinedRouter<'_> {
     type Key = usize;
-    type MapOut = Individual;
-    type Acc = SampleAcc<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<usize, Individual>) {
+    fn route(&self, t: &Individual, out: &mut Emitter<usize, Individual>) {
         let sel = StratumSelection::of(t, self.queries);
         if let Some(&k) = self.index.get(&sel) {
             out.emit(k, t.clone());
         }
     }
 
-    fn init(&self, ctx: &TaskCtx, key: &usize) -> SampleAcc<Individual> {
-        SampleAcc::new(ctx, self.freqs[*key])
-    }
-
-    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(&self, _key: &usize, acc: SampleAcc<Individual>) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &usize,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let (sample, seen) = merge_samples(ctx, values, self.freqs[*key]);
-        if let Some(c) = &self.counters {
-            c.reduced(*key, sample.len() as u64, seen);
-        }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &usize, s: &IntermediateSample<Individual>) -> u64 {
-        sample_bytes(s)
+    fn frequency(&self, &k: &usize) -> usize {
+        self.freqs[k]
     }
 }
 
-/// The residual MR-MQE phase, keyed by `(query, σ)` with per-query
-/// exclusion of already-selected individuals.
-struct ResidualMqeJob<'a> {
+/// The mapping schema of one residual MR-MQE round: a tuple goes to
+/// `(i, σ(t))` for every query `i` of σ(t) that still lacks tuples of
+/// σ(t) and has not selected this tuple yet.
+struct ResidualRouter<'a> {
     queries: &'a [SsdQuery],
-    needed: &'a HashMap<(usize, StratumSelection), usize>,
-    exclusions: &'a [HashSet<u64>],
-    /// Aggregate `cps.residual.*` counters — the key space is the
-    /// dynamic `(query, σ)` deficits, so no per-stratum breakdown.
-    counters: Option<StratumCounters>,
+    /// The outstanding deficit per `(query, σ)`.
+    needed: HashMap<(usize, StratumSelection), usize>,
+    /// Per query, the ids its answer already holds.
+    exclusions: Vec<HashSet<u64>>,
 }
 
-impl CombineJob for ResidualMqeJob<'_> {
-    type Input = Individual;
+impl Router for ResidualRouter<'_> {
     type Key = (usize, StratumSelection);
-    type MapOut = Individual;
-    type Acc = SampleAcc<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
 
-    fn map(
-        &self,
-        _ctx: &TaskCtx,
-        t: &Individual,
-        out: &mut Emitter<(usize, StratumSelection), Individual>,
-    ) {
+    fn route(&self, t: &Individual, out: &mut Emitter<(usize, StratumSelection), Individual>) {
         let sel = StratumSelection::of(t, self.queries);
         for i in sel.survey_indexes().iter() {
             if self.exclusions[i].contains(&t.id) {
@@ -962,45 +902,8 @@ impl CombineJob for ResidualMqeJob<'_> {
         }
     }
 
-    fn init(&self, ctx: &TaskCtx, key: &(usize, StratumSelection)) -> SampleAcc<Individual> {
-        SampleAcc::new(ctx, self.needed[key])
-    }
-
-    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(
-        &self,
-        _key: &(usize, StratumSelection),
-        acc: SampleAcc<Individual>,
-    ) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &(usize, StratumSelection),
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let (sample, seen) = merge_samples(ctx, values, self.needed[key]);
-        if let Some(c) = &self.counters {
-            c.reduced(0, sample.len() as u64, seen);
-        }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(
-        &self,
-        _key: &(usize, StratumSelection),
-        s: &IntermediateSample<Individual>,
-    ) -> u64 {
-        sample_bytes(s)
+    fn frequency(&self, key: &(usize, StratumSelection)) -> usize {
+        self.needed[key]
     }
 }
 
@@ -1024,11 +927,6 @@ fn taus_of(active: SurveySet) -> Vec<SurveySet> {
     let mut taus: Vec<SurveySet> = active.nonempty_subsets().collect();
     taus.sort();
     taus
-}
-
-/// Floor with the paper's ε nudge.
-fn floor_eps(x: f64, eps: f64) -> u64 {
-    (x + eps).floor().max(0.0) as u64
 }
 
 /// Search effort behind one solved (sub)program, normalized across the
@@ -1080,100 +978,155 @@ fn solve_dispatch(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn solve_blockwise(
+/// The integral allocation step 4 samples for a solver value `x`:
+/// `⌊x + ε⌋` on the LP path, the nearest integer on IP.
+fn allocation(x: f64, solver: SolverKind) -> u64 {
+    match solver {
+        SolverKind::Lp => (x + EPSILON).floor().max(0.0) as u64,
+        SolverKind::Ip => x.round() as u64,
+    }
+}
+
+/// σ's block of the Figure 3 program: its `(τ, X_τ(σ))` variables.
+type Block = Vec<(SurveySet, VarId)>;
+
+/// Add σ's block to `problem`: one variable `X_τ(σ)` per non-empty τ of
+/// the active surveys (ascending), one row `Σ_{τ∋i} X_τ = F(A_i, σ)` per
+/// active survey `i`, and the limit row `Σ_τ X_τ ≤ L(σ)`.
+fn add_block(
+    problem: &mut Problem,
+    sel: &StratumSelection,
+    freq: &[HashMap<StratumSelection, u64>],
+    limits: &HashMap<StratumSelection, u64>,
+    mssd: &MssdQuery,
+) -> Block {
+    let active = active_surveys(sel, freq);
+    let block: Block = taus_of(active)
+        .into_iter()
+        .map(|tau| (tau, problem.add_var(mssd.costs().cost(tau))))
+        .collect();
+    for i in active.iter() {
+        let coeffs = block
+            .iter()
+            .filter(|(tau, _)| tau.contains(i))
+            .map(|&(_, v)| (v, 1.0))
+            .collect();
+        let f = freq[i].get(sel).copied().unwrap_or(0);
+        problem.add_constraint(coeffs, Relation::Eq, f as f64);
+    }
+    let limit = limits.get(sel).copied().unwrap_or(0);
+    problem.add_constraint(
+        block.iter().map(|&(_, v)| (v, 1.0)).collect(),
+        Relation::Le,
+        limit as f64,
+    );
+    block
+}
+
+impl SigmaPlan {
+    /// The rounded allocations of σ's solved block.
+    fn new(sel: &StratumSelection, block: &Block, values: &[f64], solver: SolverKind) -> Self {
+        let allocations: Vec<(SurveySet, u64)> = block
+            .iter()
+            .map(|&(tau, v)| (tau, allocation(values[v], solver)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        let total = allocations.iter().map(|&(_, c)| c).sum();
+        Self {
+            sel: sel.clone(),
+            allocations,
+            total,
+        }
+    }
+}
+
+/// The solved Figure 3 program(s) of a run.
+struct Solved {
+    /// One plan per relevant selection, in order.
+    plans: Vec<SigmaPlan>,
+    programs: Vec<ProgramExplain>,
+    timings: CpsTimings,
+    variables: usize,
+    constraints: usize,
+    /// Objective summed over the programs.
+    objective: f64,
+}
+
+/// Formulate and solve the Figure 3 program: one block per relevant
+/// selection, solved block by block, or as one joint program when
+/// `config.joint_formulation` is set.
+fn solve(
     relevant: &[StratumSelection],
     freq: &[HashMap<StratumSelection, u64>],
     limits: &HashMap<StratumSelection, u64>,
     mssd: &MssdQuery,
     config: CpsConfig,
     telemetry: Option<&Registry>,
-    timings: &mut CpsTimings,
-    variables: &mut usize,
-    constraints: &mut usize,
-    objective: &mut f64,
-    programs: &mut Vec<ProgramExplain>,
-) -> Result<Vec<SigmaPlan>, LpError> {
-    let mut plans = Vec::with_capacity(relevant.len());
-    for sel in relevant {
+) -> Result<Solved, LpError> {
+    // the selections each program covers
+    let groups: Vec<&[StratumSelection]> = if config.joint_formulation {
+        vec![relevant]
+    } else {
+        relevant.chunks(1).collect()
+    };
+    let mut solved = Solved {
+        plans: Vec::with_capacity(relevant.len()),
+        programs: Vec::with_capacity(groups.len()),
+        timings: CpsTimings::default(),
+        variables: 0,
+        constraints: 0,
+        objective: 0.0,
+    };
+    for group in groups {
         let t0 = Instant::now();
-        let taus = taus_of(active_surveys(sel, freq));
         let mut problem = Problem::new();
-        let vars: Vec<_> = taus
+        let blocks: Vec<Block> = group
             .iter()
-            .map(|&tau| problem.add_var(mssd.costs().cost(tau)))
+            .map(|sel| add_block(&mut problem, sel, freq, limits, mssd))
             .collect();
-        // equivalence constraints: Σ_{τ∋i} X_τ = F(A_i, σ)
-        for i in active_surveys(sel, freq).iter() {
-            let coeffs: Vec<_> = taus
-                .iter()
-                .zip(&vars)
-                .filter(|(tau, _)| tau.contains(i))
-                .map(|(_, &v)| (v, 1.0))
-                .collect();
-            let f = freq[i].get(sel).copied().unwrap_or(0);
-            problem.add_constraint(coeffs, Relation::Eq, f as f64);
-        }
-        // upper bound: Σ_τ X_τ ≤ L(σ)
-        let limit = limits.get(sel).copied().unwrap_or(0);
-        problem.add_constraint(
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Relation::Le,
-            limit as f64,
-        );
-        *variables += problem.n_vars();
-        *constraints += problem.n_constraints();
-        timings.formulate_secs += t0.elapsed().as_secs_f64();
+        solved.variables += problem.n_vars();
+        solved.constraints += problem.n_constraints();
+        solved.timings.formulate_secs += t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
         let (solution, effort) = solve_dispatch(&problem, config.solver, telemetry)?;
-        timings.solve_secs += t1.elapsed().as_secs_f64();
-        *objective += solution.objective;
+        solved.timings.solve_secs += t1.elapsed().as_secs_f64();
+        solved.objective += solution.objective;
 
-        programs.push(program_explain(
-            sel.to_string(),
+        let name = if config.joint_formulation {
+            "joint".to_string()
+        } else {
+            group[0].to_string()
+        };
+        solved.programs.push(program_explain(
+            name,
             &problem,
             &solution,
             effort,
-            &taus,
-            &vars,
+            &blocks.concat(),
             mssd,
-            config,
+            config.solver,
         ));
-        let allocations: Vec<(SurveySet, u64)> = taus
-            .iter()
-            .zip(&vars)
-            .map(|(&tau, &v)| {
-                let x = solution.values[v];
-                let count = match config.solver {
-                    SolverKind::Lp => floor_eps(x, config.epsilon),
-                    SolverKind::Ip => x.round() as u64,
-                };
-                (tau, count)
-            })
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        let total = allocations.iter().map(|&(_, c)| c).sum();
-        plans.push(SigmaPlan {
-            sel: sel.clone(),
-            allocations,
-            total,
-        });
+        solved.plans.extend(
+            group
+                .iter()
+                .zip(&blocks)
+                .map(|(sel, block)| SigmaPlan::new(sel, block, &solution.values, config.solver)),
+        );
     }
-    Ok(plans)
+    Ok(solved)
 }
 
-/// Assemble one [`ProgramExplain`] from a solved (sub)program.
-#[allow(clippy::too_many_arguments)]
+/// Assemble one [`ProgramExplain`] from a solved (sub)program over the
+/// variables of `block`.
 fn program_explain(
     selection: String,
     problem: &Problem,
     solution: &Solution,
     effort: SolveEffort,
-    taus: &[SurveySet],
-    vars: &[usize],
+    block: &[(SurveySet, VarId)],
     mssd: &MssdQuery,
-    config: CpsConfig,
+    solver: SolverKind,
 ) -> ProgramExplain {
     ProgramExplain {
         selection,
@@ -1183,111 +1136,16 @@ fn program_explain(
         nodes: effort.nodes,
         lp_relaxations: effort.lp_relaxations,
         binding_constraints: problem.binding_constraints(&solution.values, 1e-6),
-        variables: taus
+        variables: block
             .iter()
-            .zip(vars)
-            .map(|(&tau, &v)| VariableExplain {
+            .map(|&(tau, v)| VariableExplain {
                 surveys: tau.iter().collect(),
                 cost: mssd.costs().cost(tau),
                 value: solution.values[v],
-                allocation: match config.solver {
-                    SolverKind::Lp => floor_eps(solution.values[v], config.epsilon),
-                    SolverKind::Ip => solution.values[v].round() as u64,
-                },
+                allocation: allocation(solution.values[v], solver),
             })
             .collect(),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_joint(
-    relevant: &[StratumSelection],
-    freq: &[HashMap<StratumSelection, u64>],
-    limits: &HashMap<StratumSelection, u64>,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    telemetry: Option<&Registry>,
-    timings: &mut CpsTimings,
-    variables: &mut usize,
-    constraints: &mut usize,
-    objective: &mut f64,
-    programs: &mut Vec<ProgramExplain>,
-) -> Result<Vec<SigmaPlan>, LpError> {
-    let t0 = Instant::now();
-    let mut problem = Problem::new();
-    // var layout: per selection, its τ list
-    let mut layout: Vec<(Vec<SurveySet>, Vec<usize>)> = Vec::with_capacity(relevant.len());
-    for sel in relevant {
-        let taus = taus_of(active_surveys(sel, freq));
-        let vars: Vec<_> = taus
-            .iter()
-            .map(|&tau| problem.add_var(mssd.costs().cost(tau)))
-            .collect();
-        for i in active_surveys(sel, freq).iter() {
-            let coeffs: Vec<_> = taus
-                .iter()
-                .zip(&vars)
-                .filter(|(tau, _)| tau.contains(i))
-                .map(|(_, &v)| (v, 1.0))
-                .collect();
-            let f = freq[i].get(sel).copied().unwrap_or(0);
-            problem.add_constraint(coeffs, Relation::Eq, f as f64);
-        }
-        let limit = limits.get(sel).copied().unwrap_or(0);
-        problem.add_constraint(
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Relation::Le,
-            limit as f64,
-        );
-        layout.push((taus, vars));
-    }
-    *variables = problem.n_vars();
-    *constraints = problem.n_constraints();
-    timings.formulate_secs += t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let (solution, effort) = solve_dispatch(&problem, config.solver, telemetry)?;
-    timings.solve_secs += t1.elapsed().as_secs_f64();
-    *objective = solution.objective;
-
-    let all_taus: Vec<SurveySet> = layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
-    let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
-    programs.push(program_explain(
-        "joint".to_string(),
-        &problem,
-        &solution,
-        effort,
-        &all_taus,
-        &all_vars,
-        mssd,
-        config,
-    ));
-
-    Ok(relevant
-        .iter()
-        .zip(layout)
-        .map(|(sel, (taus, vars))| {
-            let allocations: Vec<(SurveySet, u64)> = taus
-                .iter()
-                .zip(&vars)
-                .map(|(&tau, &v)| {
-                    let x = solution.values[v];
-                    let count = match config.solver {
-                        SolverKind::Lp => floor_eps(x, config.epsilon),
-                        SolverKind::Ip => x.round() as u64,
-                    };
-                    (tau, count)
-                })
-                .filter(|&(_, c)| c > 0)
-                .collect();
-            let total = allocations.iter().map(|&(_, c)| c).sum();
-            SigmaPlan {
-                sel: sel.clone(),
-                allocations,
-                total,
-            }
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -1570,6 +1428,40 @@ mod tests {
         );
         // realized integral cost can't beat the IP optimum (10)
         assert!(run.cost >= 10.0 - 1e-9, "realized {}", run.cost);
+    }
+
+    /// One σ gets both a floor allocation and a residual top-up: the LP
+    /// optimum is `X_{12} = X_{13} = X_{23} = 3/2` over a stratum of 5,
+    /// so flooring gives every survey 2 of its 3 individuals and the
+    /// residual round must add the third without repeating one of them.
+    #[test]
+    fn residual_top_up_never_repeats_an_individual() {
+        let schema = Schema::new(vec![AttrDef::numeric("x", 0, 0)]);
+        let tuples = (0..5u64).map(|i| Individual::new(i, vec![0], 10)).collect();
+        let data = Dataset::new(schema, tuples).distribute(2, 2, Placement::RoundRobin);
+        let cluster = Cluster::new(2);
+        let q = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(x(), 0), 3)]);
+        let costs = CostModel::paper_style(3, 4.0, &[(0, 1), (0, 2), (1, 2)], 2.0)
+            .with_override(SurveySet::from_iter([0, 1, 2]), 10.0);
+        let mssd = MssdQuery::new(vec![q.clone(), q.clone(), q], costs);
+        for seed in 0..12 {
+            let run = run_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), seed).unwrap();
+            let floors: Vec<u64> = run.explain.programs[0]
+                .variables
+                .iter()
+                .map(|v| v.allocation)
+                .filter(|&a| a > 0)
+                .collect();
+            assert_eq!(floors, vec![1, 1, 1], "one floor share per pair");
+            assert_eq!(run.residual_selections, 3, "one top-up per survey");
+            for i in 0..3 {
+                let mut ids: Vec<u64> = run.answer.answer(i).iter().map(|t| t.id).collect();
+                assert_eq!(ids.len(), 3);
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), 3, "seed {seed}: A*_{i} repeats an individual");
+            }
+        }
     }
 
     /// MR-CPS telemetry: per-round spans cover every phase, the LP is

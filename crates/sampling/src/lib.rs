@@ -5,7 +5,7 @@
 //! |---|---|
 //! | [`reservoir`] | Algorithm R (+ Vitter's Algorithm X extension), §4.1 |
 //! | [`unified`] | Algorithm 1, the unified sampler, §4.2.2 |
-//! | [`combiner`] | the reservoir combiner and unified-sampler reducer every sampling job shares, §4.2.2 |
+//! | [`combiner`] | the one reservoir-sampling job (Algorithm R combiner, unified-sampler reducer) behind MR-SQE, MR-MQE and both CPS phases, §4.2.2 |
 //! | [`naive`] | the combiner-less baseline of Figure 1, §4.2.1 |
 //! | [`sqe`] | **MR-SQE**, Figure 2, §4.2.2 |
 //! | [`mqe`] | **MR-MQE**, §5.1 |
@@ -49,7 +49,6 @@ pub mod input;
 pub mod limits;
 pub mod mqe;
 pub mod naive;
-mod obs;
 pub mod percent;
 pub mod reservoir;
 pub mod sequential;
@@ -67,12 +66,12 @@ pub use cps::{
 pub use estimate::{srs_mean, stratified_mean, stratified_proportion, stratified_total, Estimate};
 pub use input::{to_input_splits, wire_bytes};
 pub use limits::try_stratum_selection_limits;
-pub use mqe::{try_mr_mqe_on_splits, MqeJob, MqeRun};
+pub use mqe::{try_mr_mqe_on_splits, MqeRun};
 pub use naive::{try_naive_sqe_on_splits, NaiveSqeJob, SqeRun};
 pub use percent::{try_mr_sqe_percent_on_splits, PercentRun, PercentSsdQuery, PercentStratum};
 pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
 pub use sequential::sequential_ssd;
-pub use sqe::{try_mr_sqe_on_splits, SqeJob};
+pub use sqe::try_mr_sqe_on_splits;
 pub use srs::try_mr_srs_on_splits;
 pub use sst::{Sst, StratumSelection};
 pub use stream::{merge_streams, StreamingSampler};

@@ -9,80 +9,27 @@
 //! optimization); the paper uses it as the cost benchmark for MR-CPS and
 //! as CPS's representative first phase.
 
-use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
-use crate::obs::StratumCounters;
-use crate::unified::IntermediateSample;
+use crate::audit::{publish, StratumTrail};
+use crate::combiner::{try_sample, Router};
 use std::collections::HashSet;
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId};
-use stratmr_telemetry::Registry;
 
-/// Intermediate key: `(query index, stratum index)`.
-pub type QueryStratum = (usize, StratumId);
-
-/// The MR-MQE job over a set of SSD queries.
+/// MR-MQE's mapping schema: a tuple goes to `(i, s_k)` for every query
+/// `i` it matches and is not excluded from, in query order.
 ///
 /// `exclusions[i]` (optional) is a set of individual ids that must not be
-/// sampled for query `i` — used by MR-CPS's residual phase to top up
-/// answers without duplicating already-selected individuals.
-pub struct MqeJob<'a> {
+/// sampled for query `i`.
+struct MqeRouter<'a> {
     queries: &'a [SsdQuery],
     exclusions: Option<&'a [HashSet<u64>]>,
-    counters: Option<Vec<StratumCounters>>,
 }
 
-impl<'a> MqeJob<'a> {
-    /// Build the job for a set of SSD queries.
-    pub fn new(queries: &'a [SsdQuery]) -> Self {
-        Self {
-            queries,
-            exclusions: None,
-            counters: None,
-        }
-    }
+impl Router for MqeRouter<'_> {
+    type Key = (usize, StratumId);
 
-    /// Exclude, per query, individuals that must not be selected.
-    ///
-    /// # Panics
-    /// Panics if `exclusions.len() != queries.len()`.
-    pub fn with_exclusions(mut self, exclusions: &'a [HashSet<u64>]) -> Self {
-        assert_eq!(exclusions.len(), self.queries.len());
-        self.exclusions = Some(exclusions);
-        self
-    }
-
-    /// Emit `mqe.q<i>.s<k>.{requested,candidates,sampled,rejected}`
-    /// counters into `registry`, one quadruple per `(query, stratum)`
-    /// pair.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.counters = Some(
-            self.queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let counters =
-                        StratumCounters::per_stratum(registry, &format!("mqe.q{i}"), q.len());
-                    for k in 0..q.len() {
-                        counters.request(k, q.stratum(k).frequency as u64);
-                    }
-                    counters
-                })
-                .collect(),
-        );
-        self
-    }
-}
-
-impl CombineJob for MqeJob<'_> {
-    type Input = Individual;
-    type Key = QueryStratum;
-    type MapOut = Individual;
-    type Acc = SampleAcc<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
-
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<QueryStratum, Individual>) {
+    fn route(&self, t: &Individual, out: &mut Emitter<(usize, StratumId), Individual>) {
         for (i, q) in self.queries.iter().enumerate() {
             if let Some(ex) = self.exclusions {
                 if ex[i].contains(&t.id) {
@@ -95,42 +42,8 @@ impl CombineJob for MqeJob<'_> {
         }
     }
 
-    fn init(&self, ctx: &TaskCtx, key: &QueryStratum) -> SampleAcc<Individual> {
-        SampleAcc::new(ctx, self.queries[key.0].stratum(key.1).frequency)
-    }
-
-    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(
-        &self,
-        _key: &QueryStratum,
-        acc: SampleAcc<Individual>,
-    ) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &QueryStratum,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let f = self.queries[key.0].stratum(key.1).frequency;
-        let (sample, seen) = merge_samples(ctx, values, f);
-        if let Some(c) = &self.counters {
-            c[key.0].reduced(key.1, sample.len() as u64, seen);
-        }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &QueryStratum, s: &IntermediateSample<Individual>) -> u64 {
-        sample_bytes(s)
+    fn frequency(&self, &(i, k): &(usize, StratumId)) -> usize {
+        self.queries[i].stratum(k).frequency
     }
 }
 
@@ -143,8 +56,16 @@ pub struct MqeRun {
     pub stats: JobStats,
 }
 
-/// Run MR-MQE on input splits, with optional per-query exclusion sets.
+/// Run MR-MQE on input splits, with optional per-query exclusion sets:
+/// `exclusions[i]` holds ids that must not be sampled for query `i`.
 /// Scheduling failures come back as [`JobError`].
+///
+/// With telemetry attached, a successful run publishes one
+/// `mqe.q<i>.s<k>.*` audit trail per `(query, stratum)` pair (see
+/// [`crate::audit`]).
+///
+/// # Panics
+/// Panics if `exclusions` is given and `exclusions.len() != queries.len()`.
 pub fn try_mr_mqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -152,19 +73,33 @@ pub fn try_mr_mqe_on_splits(
     exclusions: Option<&[HashSet<u64>]>,
     seed: u64,
 ) -> Result<MqeRun, JobError> {
+    if let Some(ex) = exclusions {
+        assert_eq!(ex.len(), queries.len(), "one exclusion set per query");
+    }
     let cluster = cluster.named_or("mqe");
     let _span = cluster.telemetry().map(|t| t.span("mqe.run"));
-    let mut job = MqeJob::new(queries);
-    if let Some(ex) = exclusions {
-        job = job.with_exclusions(ex);
+    let router = MqeRouter {
+        queries,
+        exclusions,
+    };
+    let out = try_sample(&cluster, &router, splits, seed)?;
+    let mut answers: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
+    let mut candidates: Vec<Vec<u64>> = queries.iter().map(|q| vec![0; q.len()]).collect();
+    for ((i, k), (sample, seen)) in out.results {
+        *answers[i].stratum_mut(k) = sample;
+        candidates[i][k] = seen;
     }
     if let Some(registry) = cluster.telemetry() {
-        job = job.with_telemetry(registry);
-    }
-    let out = cluster.try_run_with_combiner(&job, splits, seed)?;
-    let mut answers: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
-    for ((i, k), sample) in out.results {
-        *answers[i].stratum_mut(k) = sample;
+        for (i, q) in queries.iter().enumerate() {
+            let job = format!("mqe.q{i}");
+            publish(
+                registry,
+                (0..q.len()).map(|k| {
+                    let (f, sampled) = (q.stratum(k).frequency, answers[i].stratum(k).len());
+                    StratumTrail::stratum(&job, k, f, sampled, candidates[i][k])
+                }),
+            );
+        }
     }
     Ok(MqeRun {
         answer: MssdAnswer::new(answers),
@@ -272,6 +207,41 @@ mod tests {
         assert_eq!(candidates_total, snap.counter("mr.map.output_records"));
         assert_eq!(snap.span_calls("mqe.run"), 1);
         assert_eq!(snap.span_calls("mqe.run/mr.job"), 1);
+    }
+
+    /// A stratum no tuple matches still gets its trail: requested `f`,
+    /// zero candidates, and the ledger counts it as starved.
+    #[test]
+    fn unmatched_stratum_keeps_its_trail() {
+        use crate::audit::QualityReport;
+        use stratmr_telemetry::Registry;
+        let registry = Registry::new();
+        let data = dataset(500).distribute(2, 4, Placement::RoundRobin);
+        let cluster = Cluster::new(2).with_telemetry(registry.clone());
+        let x = AttrId(0);
+        let mut qs = queries();
+        qs.push(SsdQuery::new(vec![
+            StratumConstraint::new(Formula::lt(x, 10), 2),
+            StratumConstraint::new(Formula::eq(x, 100), 3), // x < 100 everywhere
+        ]));
+        run_mqe(&cluster, &data, &qs, 4);
+        let report = QualityReport::from_snapshot(&registry.snapshot());
+        let strata: usize = qs.iter().map(SsdQuery::len).sum();
+        assert_eq!(
+            report.trails.len(),
+            strata,
+            "one trail per (query, stratum)"
+        );
+        let empty = report
+            .trails
+            .iter()
+            .find(|t| t.key == "mqe.q2.s1")
+            .expect("the unmatched stratum keeps its trail");
+        assert_eq!(
+            (empty.requested, empty.candidates, empty.sampled),
+            (3, 0, 0)
+        );
+        assert_eq!(report.starved_strata(), 1);
     }
 
     #[test]

@@ -11,98 +11,38 @@
 //! reducer merges the intermediate samples without bias via the unified
 //! sampler (Algorithm 1).
 
-use crate::combiner::{merge_samples, sample_bytes, SampleAcc};
-use crate::obs::StratumCounters;
-use crate::unified::IntermediateSample;
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
+use crate::audit::{publish, StratumTrail};
+use crate::combiner::{try_sample, Router};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError};
 use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId};
-use stratmr_telemetry::Registry;
 
 pub use crate::naive::SqeRun;
 
-/// The Figure 2 job.
-pub struct SqeJob<'a> {
-    query: &'a SsdQuery,
-    counters: Option<StratumCounters>,
-}
+/// Figure 2's mapping schema: a tuple goes to the one stratum it
+/// satisfies, which wants its frequency `f_k`.
+struct SqeRouter<'a>(&'a SsdQuery);
 
-impl<'a> SqeJob<'a> {
-    /// Build the job for one SSD query.
-    pub fn new(query: &'a SsdQuery) -> Self {
-        Self {
-            query,
-            counters: None,
-        }
-    }
-
-    /// Emit per-stratum `sqe.s<k>.{requested,candidates,sampled,rejected}`
-    /// counters into `registry`.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        let counters = StratumCounters::per_stratum(registry, "sqe", self.query.len());
-        for k in 0..self.query.len() {
-            counters.request(k, self.query.stratum(k).frequency as u64);
-        }
-        self.counters = Some(counters);
-        self
-    }
-}
-
-impl CombineJob for SqeJob<'_> {
-    type Input = Individual;
+impl Router for SqeRouter<'_> {
     type Key = StratumId;
-    type MapOut = Individual;
-    type Acc = SampleAcc<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
-        if let Some(k) = self.query.matching_stratum(t) {
+    fn route(&self, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
+        if let Some(k) = self.0.matching_stratum(t) {
             out.emit(k, t.clone());
         }
     }
 
-    fn init(&self, ctx: &TaskCtx, key: &StratumId) -> SampleAcc<Individual> {
-        SampleAcc::new(ctx, self.query.stratum(*key).frequency)
-    }
-
-    fn observe(&self, acc: &mut SampleAcc<Individual>, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(
-        &self,
-        _key: &StratumId,
-        acc: SampleAcc<Individual>,
-    ) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &StratumId,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let (sample, seen) = merge_samples(ctx, values, self.query.stratum(*key).frequency);
-        if let Some(c) = &self.counters {
-            c.reduced(*key, sample.len() as u64, seen);
-        }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &StratumId, s: &IntermediateSample<Individual>) -> u64 {
-        sample_bytes(s)
+    fn frequency(&self, k: &StratumId) -> usize {
+        self.0.stratum(*k).frequency
     }
 }
 
 /// Run MR-SQE on input splits (build them once per dataset with
 /// [`crate::to_input_splits`]). Scheduling failures — retry exhaustion,
 /// no healthy machine under a fault plan — come back as [`JobError`].
+///
+/// With telemetry attached, a successful run publishes one
+/// `sqe.s<k>.*` audit trail per stratum (see [`crate::audit`]).
 pub fn try_mr_sqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -111,14 +51,21 @@ pub fn try_mr_sqe_on_splits(
 ) -> Result<SqeRun, JobError> {
     let cluster = cluster.named_or("sqe");
     let _span = cluster.telemetry().map(|t| t.span("sqe.run"));
-    let mut job = SqeJob::new(query);
-    if let Some(registry) = cluster.telemetry() {
-        job = job.with_telemetry(registry);
-    }
-    let out = cluster.try_run_with_combiner(&job, splits, seed)?;
+    let out = try_sample(&cluster, &SqeRouter(query), splits, seed)?;
     let mut answer = SsdAnswer::empty(query.len());
-    for (k, sample) in out.results {
+    let mut candidates = vec![0; query.len()];
+    for (k, (sample, seen)) in out.results {
         *answer.stratum_mut(k) = sample;
+        candidates[k] = seen;
+    }
+    if let Some(registry) = cluster.telemetry() {
+        publish(
+            registry,
+            (0..query.len()).map(|k| {
+                let (f, sampled) = (query.stratum(k).frequency, answer.stratum(k).len());
+                StratumTrail::stratum("sqe", k, f, sampled, candidates[k])
+            }),
+        );
     }
     Ok(SqeRun {
         answer,
@@ -262,6 +209,32 @@ mod tests {
         );
         assert_eq!(snap.span_calls("sqe.run"), 1);
         assert_eq!(snap.span_calls("sqe.run/mr.job"), 1);
+    }
+
+    /// A stratum no tuple matches still gets its trail: requested `f`,
+    /// zero candidates, and the ledger counts it as starved.
+    #[test]
+    fn unmatched_stratum_keeps_its_trail() {
+        use crate::audit::QualityReport;
+        use stratmr_telemetry::Registry;
+        let registry = Registry::new();
+        let data = dataset(500).distribute(2, 4, Placement::RoundRobin);
+        let cluster = Cluster::new(2).with_telemetry(registry.clone());
+        let x = AttrId(0);
+        let q = SsdQuery::new(vec![
+            StratumConstraint::new(Formula::lt(x, 50), 5),
+            StratumConstraint::new(Formula::eq(x, 100), 4), // x < 100 everywhere
+        ]);
+        run_sqe(&cluster, &data, &q, 3);
+        let report = QualityReport::from_snapshot(&registry.snapshot());
+        let keys: Vec<&str> = report.trails.iter().map(|t| t.key.as_str()).collect();
+        assert_eq!(keys, ["sqe.s0", "sqe.s1"]);
+        let empty = &report.trails[1];
+        assert_eq!(
+            (empty.requested, empty.candidates, empty.sampled),
+            (4, 0, 0)
+        );
+        assert_eq!(report.starved_strata(), 1);
     }
 
     /// Example 5 of the paper, verbatim: 64 individuals (30 men, 34

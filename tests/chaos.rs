@@ -347,6 +347,37 @@ fn impossible_plans_fail_with_typed_errors() {
     ));
 }
 
+/// A sampling job publishes its audit trails only once it has
+/// succeeded: failed SQE, MQE and CPS runs leave no trail counters in
+/// the registry.
+#[test]
+fn failed_runs_publish_no_trails() {
+    let machines = 3usize;
+    let splits = splits_for(machines);
+    let mut plan = FaultPlan::new();
+    for m in 0..machines {
+        plan = plan.crash(m, 0.0);
+    }
+    let registry = Registry::new();
+    let cluster = Cluster::new(machines)
+        .with_fault_plan(plan)
+        .with_telemetry(registry.clone());
+    assert!(try_mr_sqe_on_splits(&cluster, &splits, &queries()[0], 1).is_err());
+    assert!(try_mr_mqe_on_splits(&cluster, &splits, &queries(), None, 1).is_err());
+    assert!(try_mr_cps_on_splits(&cluster, &splits, &mssd(), CpsConfig::mr_cps(), 1).is_err());
+    let snap = registry.snapshot();
+    let trails: Vec<&str> = snap
+        .counter_names()
+        .filter(|n| {
+            ["sqe.", "mqe.", "cps.combined.", "cps.residual."]
+                .iter()
+                .any(|p| n.starts_with(p))
+        })
+        .collect();
+    assert!(trails.is_empty(), "failed runs published {trails:?}");
+    assert_eq!(snap.counter("mr.jobs.failed"), 3, "each run failed once");
+}
+
 /// Retry budgets surface exhaustion instead of looping: with every
 /// attempt failing, the sampler reports `RetriesExhausted` after the
 /// configured number of attempts.
